@@ -5,7 +5,8 @@ GO ?= go
 
 .PHONY: all build vet fmt fmt-check test race bench docs ci \
 	lint integration integration-race fuzz-smoke obs-smoke \
-	bench-scale bench-scale-smoke bench-durability bench-flow
+	bench-scale bench-scale-smoke bench-durability bench-flow \
+	perfbench-test
 
 all: build test
 
@@ -77,6 +78,14 @@ bench-durability:
 bench-flow:
 	$(GO) run ./cmd/benchjson -flow -out BENCH_PR9.json
 
+# The benchmark (perfbench/, a module of its own) compiles against
+# the optimizer, the physical compiler and the cluster front ends; vet
+# and test it so an API change that breaks it fails here, not when
+# the benchmark next runs. Its tests include the sim-analytic
+# determinism self-test.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # The docs job: broken intra-repo markdown links fail, sources stay
 # vetted and formatted.
 docs:
@@ -119,4 +128,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 30s ./internal/netx/
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s ./internal/store/wal/
 
-ci: fmt-check build vet test race bench docs integration integration-race obs-smoke fuzz-smoke
+ci: fmt-check build vet test race bench docs perfbench-test integration integration-race obs-smoke fuzz-smoke

@@ -65,6 +65,26 @@ func IndexJoin(disableCache bool) *core.Cluster {
 	return c
 }
 
+// The point-lookup scenario's queries: a bound-subject star (one exact
+// A#v lookup binds ?p, two patterns follow on it) and a ground-subject
+// star — the benchmark's join and oid query classes.
+const (
+	LookupJoinQuery = `SELECT ?n,?a WHERE {(?p,'email','p42@example.org') (?p,'name',?n) (?p,'age',?a)}`
+	LookupOIDQuery  = `SELECT ?n,?a WHERE {('person-00042','name',?n) ('person-00042','age',?a)}`
+)
+
+// Lookup builds the point-lookup scenario on the topology of the
+// benchmark's TCP workloads: 16 partitions × 2 replicas, page 16, LAN
+// latency, 500 persons loaded.
+func Lookup() *core.Cluster {
+	c := core.NewCluster(core.Config{
+		Peers: 16, Replicas: 2, Seed: 1, PageSize: 16, Latency: core.LatencyLAN,
+	})
+	ds := workload.Generate(workload.Options{Seed: 1, Persons: 500})
+	c.BulkInsert(ds.Triples...)
+	return c
+}
+
 // IndexJoinPlan compiles the two-pattern join with the second step
 // pinned to the OID index: each person bound by the name scan is
 // resolved with one exact OID probe — the DHT index join, whose keys

@@ -101,7 +101,7 @@ func New(stats *cost.Stats, opt Options) *Optimizer {
 // over access paths that must materialize before producing anything —
 // win ties against startup-heavy alternatives like the q-gram path.
 func (o *Optimizer) Optimize(p *physical.Plan) *physical.Plan {
-	p.Steps = o.order(p.Steps, 0, streamableLimit(p.Tail))
+	p.Steps = o.order(p.Steps, nil, 0, streamableLimit(p.Tail))
 	o.chooseAggStrategy(p)
 	return p
 }
@@ -116,18 +116,22 @@ func (o *Optimizer) EstimatePlan(p *physical.Plan) cost.Estimate {
 	limit := streamableLimit(p.Tail)
 	var total cost.Estimate
 	card := 1.0
+	bound := map[string]bool{}
 	for i, st := range p.Steps {
 		stepLimit := 0
 		if i == len(p.Steps)-1 {
 			stepLimit = limit
 		}
-		est := o.estimate(st.Strat, st, card, len(st.JoinOn) > 0).ScaledToLimit(stepLimit)
+		est := o.estimate(st.Strat, st, card, bound).ScaledToLimit(stepLimit)
 		if i == 0 {
 			total = est
 		} else {
 			total = total.Plus(est)
 		}
 		card = math.Max(est.Results, 1)
+		for _, v := range st.Vars() {
+			bound[v] = true
+		}
 	}
 	return total
 }
@@ -155,7 +159,7 @@ func (o *Optimizer) chooseAggStrategy(p *physical.Plan) {
 		return
 	}
 	st := p.Steps[0]
-	est := o.estimate(st.Strat, st, 1, false)
+	est := o.estimate(st.Strat, st, 1, nil)
 	rows := math.Max(est.Results, 1)
 	groups := math.Max(rows*cost.GroupShare, 1)
 	attr := ""
@@ -208,18 +212,46 @@ func (o *Optimizer) Rechoose(steps []physical.Step, tail physical.Tail, bindingC
 	lo := &Optimizer{Stats: &local, Opt: o.Opt}
 	// The first step is pinned: we are already at (or heading to) its
 	// region.
-	rest := lo.order(steps[1:], float64(bindingCount), streamableLimit(tail))
+	rest := lo.order(steps[1:], remainderBound(steps), float64(bindingCount), streamableLimit(tail))
 	out := make([]physical.Step, 0, len(steps))
 	out = append(out, steps[0])
 	out = append(out, rest...)
 	return out
 }
 
+// remainderBound returns the variables bound once a migrated plan's
+// pinned first step has run: that step's own, plus those the migrated
+// bindings carry. A carried variable shows up in the JoinOn of the
+// first remaining step that mentions it, so a JoinOn variable counts
+// unless an earlier remaining step binds it — that one may be
+// reordered later, and a variable it binds is no probe key before.
+func remainderBound(steps []physical.Step) map[string]bool {
+	bound := map[string]bool{}
+	for _, v := range steps[0].Vars() {
+		bound[v] = true
+	}
+	later := map[string]bool{}
+	for _, st := range steps[1:] {
+		for _, v := range st.JoinOn {
+			if !later[v] {
+				bound[v] = true
+			}
+		}
+		for _, v := range st.Vars() {
+			later[v] = true
+		}
+	}
+	return bound
+}
+
 // order greedily sequences steps by estimated cost, recomputing join
-// variables, filter attachment and ship flags for the new order.
-// prevCard seeds the cardinality estimate (bindings already present);
-// limit > 0 reprices the final step for early termination.
-func (o *Optimizer) order(steps []physical.Step, prevCard float64, limit int) []physical.Step {
+// variables, filter attachment and ship flags for the new order, and
+// finally fuses same-subject OID lookups (physical.FuseSubjects).
+// seed holds variables already bound before the first step (a hosted
+// remainder's); prevCard seeds the cardinality estimate (bindings
+// already present); limit > 0 reprices the final step for early
+// termination.
+func (o *Optimizer) order(steps []physical.Step, seed map[string]bool, prevCard float64, limit int) []physical.Step {
 	if len(steps) == 0 {
 		return steps
 	}
@@ -229,32 +261,25 @@ func (o *Optimizer) order(steps []physical.Step, prevCard float64, limit int) []
 		out := make([]physical.Step, len(steps))
 		copy(out, steps)
 		for i := range out {
-			out[i].Strat = o.chooseStrategy(out[i], i > 0 || prevCard > 0, 0)
+			out[i].Strat = o.chooseStrategy(out[i], nil, 0, 0)
 			out[i].Ship = false
 		}
 		return out
 	}
 	// Pool all predicates; they re-attach as variables become bound.
-	type pooled struct {
-		pat     vql.Pattern
-		filters []vql.Expr
-		sims    []physical.SimSpec
-	}
-	pool := make([]pooled, len(steps))
+	// Fused steps (a hosted remainder's) unfold into their patterns and
+	// fuse again after ordering.
+	var pool []vql.Pattern
 	var allFilters []vql.Expr
 	var allSims []physical.SimSpec
-	for i, st := range steps {
-		pool[i] = pooled{pat: st.Pat}
+	for _, st := range steps {
+		pool = append(pool, st.Patterns()...)
 		allFilters = append(allFilters, st.Filters...)
 		allSims = append(allSims, st.Sims...)
 	}
 	bound := map[string]bool{}
-	if prevCard > 0 {
-		// Variables bound by earlier (already-executed) steps are
-		// unknown here; treat shared variables optimistically by
-		// seeding nothing — join vars with prior bindings are
-		// recomputed at runtime anyway.
-		_ = prevCard
+	for v := range seed {
+		bound[v] = true
 	}
 	usedFilters := make([]bool, len(allFilters))
 	usedSims := make([]bool, len(allSims))
@@ -275,12 +300,12 @@ func (o *Optimizer) order(steps []physical.Step, prevCard float64, limit int) []
 		bestIdx, bestCost := -1, math.Inf(1)
 		var bestEst cost.Estimate
 		for _, ri := range remaining {
-			st := physical.Step{Pat: pool[ri].pat, Sims: simsFor(pool[ri].pat, allSims, usedSims)}
-			strat := o.chooseStrategy(st, len(out) > 0, stepLimit)
-			est := o.estimate(strat, st, card, connected(pool[ri].pat, bound)).ScaledToLimit(stepLimit)
+			st := physical.Step{Pat: pool[ri], Sims: simsFor(pool[ri], allSims, usedSims)}
+			strat := o.chooseStrategy(st, bound, card, stepLimit)
+			est := o.estimate(strat, st, card, bound).ScaledToLimit(stepLimit)
 			// Prefer connected, cheap, selective steps.
 			c := est.Messages + est.Results*0.1
-			if !connected(pool[ri].pat, bound) && len(bound) > 0 {
+			if !connected(pool[ri], bound) && len(bound) > 0 {
 				c *= 100 // cartesian products last
 			}
 			if c < bestCost {
@@ -288,7 +313,7 @@ func (o *Optimizer) order(steps []physical.Step, prevCard float64, limit int) []
 			}
 		}
 		// Build the chosen step.
-		pat := pool[bestIdx].pat
+		pat := pool[bestIdx]
 		st := physical.Step{Pat: pat}
 		for _, v := range pat.Vars() {
 			if bound[v] {
@@ -296,7 +321,7 @@ func (o *Optimizer) order(steps []physical.Step, prevCard float64, limit int) []
 			}
 		}
 		st.Sims = takeSims(pat, allSims, usedSims, bound)
-		st.Strat = o.chooseStrategy(st, len(out) > 0, stepLimit)
+		st.Strat = o.chooseStrategy(st, bound, card, stepLimit)
 		for _, v := range pat.Vars() {
 			bound[v] = true
 		}
@@ -316,12 +341,15 @@ func (o *Optimizer) order(steps []physical.Step, prevCard float64, limit int) []
 		if st.Strat == physical.StratAVRange {
 			st.ValuePrefix = prefixFor(st)
 		}
-		// Ship decision.
+		// Ship decision: only a step with a region to migrate to can
+		// ship; marking any other would make its stage a barrier for
+		// nothing.
+		_, placed := physical.ShipTarget(st)
 		switch o.Opt.Mode {
 		case ModeShip:
-			st.Ship = len(out) > 0
+			st.Ship = len(out) > 0 && placed
 		case ModeAuto:
-			st.Ship = len(out) > 0 && card <= float64(o.Opt.ShipThreshold)
+			st.Ship = len(out) > 0 && placed && card <= float64(o.Opt.ShipThreshold)
 		}
 		out = append(out, st)
 		card = math.Max(bestEst.Results, 1)
@@ -349,7 +377,7 @@ func (o *Optimizer) order(steps []physical.Step, prevCard float64, limit int) []
 			usedFilters[fi] = true
 		}
 	}
-	return out
+	return physical.FuseSubjects(out)
 }
 
 // connected reports whether the pattern shares a variable with the
@@ -472,12 +500,16 @@ func walkOperand(o vql.Operand, fn func(string)) {
 	}
 }
 
-// chooseStrategy selects the physical access path for a step. With a
+// chooseStrategy selects the physical access path for a step, given
+// the variables bound upstream and their estimated cardinality. With a
 // streamable limit in effect for this step, candidate costs are scaled
 // to what the early-terminating executor will actually pay — which
 // penalizes the q-gram path (its gram phase is pure startup) relative
-// to the shard-by-shard range scan.
-func (o *Optimizer) chooseStrategy(st physical.Step, hasBindings bool, limit int) physical.AccessStrategy {
+// to the shard-by-shard range scan. A step whose subject variable is
+// bound upstream can also resolve as a DHT index join on the OID
+// index — one probe per distinct subject — and does when that prices
+// below its shape's access path; many bindings keep the region scan.
+func (o *Optimizer) chooseStrategy(st physical.Step, bound map[string]bool, card float64, limit int) physical.AccessStrategy {
 	if o.Opt.ForceStrategy != physical.StratAuto {
 		if applicable(o.Opt.ForceStrategy, st) {
 			return o.Opt.ForceStrategy
@@ -493,10 +525,16 @@ func (o *Optimizer) chooseStrategy(st physical.Step, hasBindings bool, limit int
 		rangeCost := o.Stats.Range(frac, attrCount).ScaledToLimit(limit)
 		qgramCost := o.Stats.QGramSearch(len(sim.Target), 3, sim.MaxDist, 8).ScaledToLimit(limit)
 		if qgramCost.Messages < rangeCost.Messages {
-			return physical.StratQGram
+			shape = physical.StratQGram
 		}
 	}
-	_ = hasBindings
+	if shape != physical.StratOIDLookup && st.Pat.S.IsVar() && bound[st.Pat.S.Var] {
+		probe := o.estimate(physical.StratOIDLookup, st, card, bound).ScaledToLimit(limit)
+		def := o.estimate(shape, st, card, bound).ScaledToLimit(limit)
+		if probe.Messages < def.Messages {
+			return physical.StratOIDLookup
+		}
+	}
 	return shape
 }
 
@@ -521,8 +559,10 @@ func applicable(s physical.AccessStrategy, st physical.Step) bool {
 	return false
 }
 
-// estimate prices one step.
-func (o *Optimizer) estimate(strat physical.AccessStrategy, st physical.Step, card float64, conn bool) cost.Estimate {
+// estimate prices one step, given the variables bound upstream and
+// their estimated cardinality. An OID lookup costs one probe per
+// subject however many patterns it fuses.
+func (o *Optimizer) estimate(strat physical.AccessStrategy, st physical.Step, card float64, bound map[string]bool) cost.Estimate {
 	s := o.Stats
 	attr := ""
 	if !st.Pat.A.IsVar() {
@@ -539,8 +579,9 @@ func (o *Optimizer) estimate(strat physical.AccessStrategy, st physical.Step, ca
 	case physical.StratAVLookup:
 		return s.Lookup(attrCount * cost.EqSelectivity)
 	case physical.StratAVRange:
-		if conn {
-			// Joins via bound values: parallel probes.
+		if st.Pat.V.IsVar() && bound[st.Pat.V.Var] {
+			// Joins via bound values: parallel probes. A bound subject
+			// alone does not help — the executor scans the region.
 			return s.MultiLookup(int(card), card)
 		}
 		frac := attrCount / math.Max(float64(s.TotalTriples), 1)

@@ -5,7 +5,9 @@ import (
 
 	"unistore/internal/cost"
 	"unistore/internal/optimizer"
+	"unistore/internal/pgrid"
 	"unistore/internal/physical"
+	"unistore/internal/simnet"
 	"unistore/internal/vql"
 )
 
@@ -225,5 +227,134 @@ func TestAggStrategyChoice(t *testing.T) {
 	}
 	if p := forcedP.Optimize(compile(t, joined)); p.Tail.AggPushdown {
 		t.Error("forced pushdown must still respect feasibility")
+	}
+}
+
+// lookupStats mirrors the 16-partition, page-16 topology of a
+// 500-person workload.Generate dataset (~7000 triples).
+func lookupStats() *cost.Stats {
+	s := cost.DefaultStats(16)
+	s.TotalTriples = 7000
+	s.PageSize = 16
+	for _, a := range []string{"name", "age", "email"} {
+		s.TriplesPerAttr[a] = 500
+	}
+	return s
+}
+
+// joinSrc is a bound-subject star: one exact A#v lookup binds ?p, two
+// more patterns on ?p follow.
+const joinSrc = `SELECT ?n,?a WHERE {(?p,'email','p42@example.org') (?p,'name',?n) (?p,'age',?a)}`
+
+// TestSubjectProbeChosenForSmallCard: a handful of bound subjects make
+// the DHT index join on the OID index cheaper than scanning the name
+// and age regions; both patterns fold into one probe step, which has
+// no single region and therefore never ships.
+func TestSubjectProbeChosenForSmallCard(t *testing.T) {
+	o := optimizer.New(lookupStats(), optimizer.DefaultOptions())
+	p := o.Optimize(compile(t, joinSrc))
+	want := `av-lookup(?p,'email','p42@example.org') → oid-lookup(?p,'name',?n)+(?p,'age',?a) join[p]`
+	if got := p.String(); got != want {
+		t.Errorf("plan\n got %s\nwant %s", got, want)
+	}
+	// Forced migration still cannot place a variable-subject probe.
+	ship := optimizer.New(lookupStats(), optimizer.Options{Mode: optimizer.ModeShip})
+	for _, st := range ship.Optimize(compile(t, joinSrc)).Steps {
+		if st.Ship {
+			t.Errorf("ModeShip marked a step with no region: %s", st)
+		}
+	}
+}
+
+// TestGroundSubjectStarFuses: patterns on one ground OID resolve from
+// one OID lookup.
+func TestGroundSubjectStarFuses(t *testing.T) {
+	o := optimizer.New(lookupStats(), optimizer.DefaultOptions())
+	p := o.Optimize(compile(t, `SELECT ?n,?a WHERE {('person-00042','name',?n) ('person-00042','age',?a)}`))
+	want := `oid-lookup('person-00042','name',?n)+('person-00042','age',?a)`
+	if got := p.String(); got != want {
+		t.Errorf("plan\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestRegionScanKeptForManyBindings: 2000 bound subjects on 64
+// partitions at the hit rate a cold analytic cluster reports (0) cost
+// thousands of probe messages, far above one paged region scan.
+func TestRegionScanKeptForManyBindings(t *testing.T) {
+	s := cost.DefaultStats(64)
+	s.TotalTriples = 29000
+	s.PageSize = 16
+	s.TriplesPerAttr["name"] = 2000
+	s.TriplesPerAttr["age"] = 2000
+	o := optimizer.New(s, optimizer.DefaultOptions())
+	p := o.Optimize(compile(t, `SELECT ?n,?a WHERE {(?p,'name',?n) (?p,'age',?a) FILTER ?a < 30}`))
+	for _, st := range p.Steps {
+		if st.Strat != physical.StratAVRange {
+			t.Errorf("2000 bindings must keep the region scans: %s", p)
+		}
+	}
+}
+
+// estimatePlan prices hand-built steps through EstimatePlan.
+func estimatePlan(o *optimizer.Optimizer, steps ...physical.Step) float64 {
+	return o.EstimatePlan(&physical.Plan{Steps: steps}).Messages
+}
+
+func pat(t *testing.T, src string) vql.Pattern {
+	t.Helper()
+	return compile(t, `SELECT * WHERE {`+src+`}`).Steps[0].Pat
+}
+
+// TestEstimateBoundSteps pins how bound variables price a step: a
+// bound value turns an A#v range into probes (unchanged), a bound
+// subject alone leaves it a region scan (the executor scans), and a
+// fused OID step costs one lookup per subject, like a single pattern.
+func TestEstimateBoundSteps(t *testing.T) {
+	s := lookupStats()
+	o := optimizer.New(s, optimizer.DefaultOptions())
+	email := physical.Step{Pat: pat(t, `(?p,'email','x')`), Strat: physical.StratAVLookup}
+	lead := s.Lookup(500 * cost.EqSelectivity)
+	card := lead.Results
+
+	byValue := physical.Step{Pat: pat(t, `(?q,'knows',?p)`), Strat: physical.StratAVRange, JoinOn: []string{"p"}}
+	if got, want := estimatePlan(o, email, byValue), lead.Plus(s.MultiLookup(int(card), card)).Messages; got != want {
+		t.Errorf("value-bound A#v probes: %.2f msgs, want %.2f", got, want)
+	}
+
+	bySubject := physical.Step{Pat: pat(t, `(?p,'name',?n)`), Strat: physical.StratAVRange, JoinOn: []string{"p"}}
+	scan := s.Range(500/7000.0, 500)
+	if got, want := estimatePlan(o, email, bySubject), lead.Plus(scan).Messages; got != want {
+		t.Errorf("subject-bound A#v range: %.2f msgs, want the region scan's %.2f", got, want)
+	}
+
+	probe := physical.Step{Pat: pat(t, `(?p,'name',?n)`), Strat: physical.StratOIDLookup, JoinOn: []string{"p"}}
+	fused := probe
+	fused.Fused = []vql.Pattern{pat(t, `(?p,'age',?a)`), pat(t, `(?p,'phone',?f)`)}
+	single := estimatePlan(o, email, probe)
+	if got := estimatePlan(o, email, fused); got != single {
+		t.Errorf("fused OID step: %.2f msgs, want one lookup per subject (%.2f)", got, single)
+	}
+	if want := lead.Plus(s.MultiLookup(int(card), card)).Messages; single != want {
+		t.Errorf("subject probes: %.2f msgs, want %.2f", single, want)
+	}
+}
+
+// TestRechooseKeepsBoundVariables: a host re-optimizing a migrated
+// remainder knows the variables its bindings carry, so a subject-bound
+// step keeps its OID probe and its join variables.
+func TestRechooseKeepsBoundVariables(t *testing.T) {
+	o := optimizer.New(lookupStats(), optimizer.DefaultOptions())
+	// The remainder a plan ships once ?p is bound upstream: a pinned
+	// ground-subject step, then two patterns on the carried ?p.
+	rem := []physical.Step{
+		{Pat: pat(t, `('person-00007','email',?e)`), Strat: physical.StratOIDLookup},
+		{Pat: pat(t, `(?p,'name',?n)`), Strat: physical.StratOIDLookup, JoinOn: []string{"p"}},
+		{Pat: pat(t, `(?p,'age',?a)`), Strat: physical.StratOIDLookup, JoinOn: []string{"p"}},
+	}
+	peer := pgrid.NewPeer(simnet.New(simnet.Config{Seed: 1}), pgrid.DefaultConfig())
+	out := o.Rechoose(rem, physical.Tail{}, 1, peer)
+	want := `oid-lookup(?p,'name',?n)+(?p,'age',?a) join[p]`
+	if len(out) != 2 || out[1].String() != want {
+		t.Errorf("remainder re-planned as %v, want its second step %s", out, want)
 	}
 }

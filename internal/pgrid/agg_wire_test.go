@@ -182,3 +182,66 @@ func TestAggProbePartialOverlapDropsWhole(t *testing.T) {
 		}
 	}
 }
+
+// TestAggPageRepeatedAnswerDropped: a page pull answered twice by the
+// same server — a hedged pull the slow original also served — must
+// fold in once, even when the repeat arrives after the stream moved
+// past it, and even when the repeat was cut under a larger window into
+// a final page spanning pages not yet delivered. Aggregated states
+// fold rows together, so unlike row pages nothing downstream could
+// dedupe the replay.
+func TestAggPageRepeatedAnswerDropped(t *testing.T) {
+	_, peers := buildAggOverlay(t, 4, 1, 1, 54)
+	p, server := peers[0], peers[1].ID()
+	spec := countSpec()
+	r := triple.AVPrefixRange("group")
+	qid, op := p.newOp(TotalShare, 0, trace.OpRange, nil)
+	tbl := agg.NewTable(spec)
+	p.mu.Lock()
+	op.aggSpec = spec
+	op.onAgg = func(states []agg.State) { tbl.MergeStates(states) }
+	op.scan = &scanState{kind: uint8(triple.ByAV), r: r, pageSize: 1, agg: spec}
+	p.mu.Unlock()
+
+	states := func(groups ...string) []byte {
+		tb := agg.NewTable(spec)
+		for i, g := range groups {
+			tb.AddTriple(triple.T(fmt.Sprintf("p%d", i), "group", g))
+		}
+		return agg.EncodeStates(tb.States())
+	}
+	page := func(seq int, groups ...string) queryResp {
+		resp := queryResp{QID: qid, From: server, Path: keys.FromBits("0"), PageSeq: seq,
+			AggData: states(groups...), AggGroups: len(groups), Count: len(groups)}
+		if seq < 3 {
+			resp.Cont = &pageCont{Kind: uint8(triple.ByAV), R: r, PageSize: 1, Agg: spec,
+				AggAfter: groups[len(groups)-1], Seq: seq + 1}
+		} else {
+			resp.Final, resp.Share = true, TotalShare
+		}
+		return resp
+	}
+	p.handleResponse(page(0, "g0"), 0)
+	p.handleResponse(page(1, "g1"), 0)
+	p.handleResponse(page(2, "g2"), 0)
+	// Pull 1 answered again, after the stream moved on.
+	p.handleResponse(page(1, "g1"), 0)
+	// Pull 2 answered again as one final page under a larger window.
+	final := page(2, "g2", "g3")
+	final.Cont, final.Final, final.Share = nil, true, TotalShare
+	p.handleResponse(final, 0)
+	p.handleResponse(page(3, "g3"), 0)
+
+	if !(&Handle{peer: p, op: op, qid: qid}).Done() {
+		t.Fatal("the stream's own final page did not complete the scan")
+	}
+	rows := tbl.Rows()
+	if len(rows) != 4 {
+		t.Fatalf("%d groups, want 4", len(rows))
+	}
+	for _, row := range rows {
+		if row["n"].Num != 1 {
+			t.Errorf("group %q counted %v times — a repeated page answer folded in again", row["g"].Str, row["n"])
+		}
+	}
+}

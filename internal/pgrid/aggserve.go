@@ -54,7 +54,7 @@ func (p *Peer) serveAggPage(qid uint64, origin simnet.NodeID, cont pageCont, win
 		})
 		states = states[i:]
 	}
-	resp := queryResp{QID: qid, Hops: cont.Hops}
+	resp := queryResp{QID: qid, Hops: cont.Hops, PageSeq: cont.Seq}
 	p.stampResp(&resp)
 	resp.ScanPath = cont.StreamPath
 	page := states
@@ -75,6 +75,7 @@ func (p *Peer) serveAggPage(qid uint64, origin simnet.NodeID, cont pageCont, win
 	if more {
 		next := cont
 		next.AggAfter = page[len(page)-1].GroupKey()
+		next.Seq++
 		resp.Cont = &next
 	} else {
 		resp.Share = cont.Share

@@ -142,7 +142,11 @@ func (p *Peer) flushGossip(to simnet.NodeID) {
 			p.gossipMu.Unlock()
 			return
 		}
-		batch := make([]store.Entry, 0, len(pend))
+		// One window's worth leaves per round: sizing the batch to the
+		// whole parked buffer would allocate (and make the GC scan) a
+		// backlog-sized slice every round of a large backlog. Past the
+		// first 256 entries the batch grows as entries fit.
+		batch := make([]store.Entry, 0, min(len(pend), 256))
 		used := 16 // gossipMsg framing
 		for fk, e := range pend {
 			sz := e.WireSize()

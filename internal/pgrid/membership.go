@@ -347,6 +347,11 @@ func (p *Peer) migrateSplitClaimLocked(sc *scanState, cl *scanClaim, oldKey stri
 		cu.path = newPath
 		sc.cursors[newPath.String()] = cu
 	}
+	if next, ok := sc.pageSeq[oldKey]; ok {
+		// The stream keeps its page numbering under the deeper identity.
+		delete(sc.pageSeq, oldKey)
+		sc.pageSeq[newPath.String()] = next
+	}
 	sc.coverage = true
 	for l := oldPath.Len(); l < newPath.Len(); l++ {
 		q := newPath.Prefix(l).Append(1 - newPath.Bit(l))

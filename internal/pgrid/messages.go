@@ -205,6 +205,12 @@ type pageCont struct {
 	// partition can serve the next page.
 	Agg      *agg.Spec
 	AggAfter string
+	// Seq numbers the page this continuation pulls within its stream
+	// (the shower's own answer is page 0). A duplicate answer to one
+	// pull — a hedged or resumed pull that the same server also
+	// answered — repeats its Seq, which is how the origin drops it even
+	// after the stream has moved on.
+	Seq int
 	// StreamPath is the serving partition's path at the moment the
 	// stream began — the stream's identity under live splits and
 	// merges. A server whose partition split mid-stream clips the
@@ -274,6 +280,10 @@ type queryResp struct {
 	// origin echoes it back in a pageReq to pull the next page. Share
 	// on a partial page is 0; the final page carries the branch mass.
 	Cont *pageCont
+	// PageSeq is the Seq of the pull a paged answer serves (0 for the
+	// shower's own answer), so the origin can tell a repeated answer to
+	// one pull from the stream's next page.
+	PageSeq int
 	// AggData carries encoded partial-aggregate states (agg.State) in
 	// place of Entries when the operation pushed an aggregation down;
 	// AggGroups is the group count it encodes. A page of an aggregated

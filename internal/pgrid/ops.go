@@ -320,6 +320,13 @@ func (p *Peer) handleResponse(r queryResp, size int) {
 		// retry timer releases claims of dead or stalled owners.
 		sc := op.scan
 		key := spath.String()
+		if next, ok := sc.pageSeq[key]; ok && r.PageSeq < next {
+			// A page this stream already delivered, answered again (a
+			// hedged pull the same server also served): dropped before
+			// it can touch the stream's claim.
+			p.mu.Unlock()
+			return
+		}
 		now := p.net.Now()
 		cl, claimed := sc.claims[key]
 		if !claimed {
@@ -352,6 +359,10 @@ func (p *Peer) handleResponse(r queryResp, size int) {
 			sc.claims[key] = &scanClaim{path: spath, from: r.From, last: now, cont: r.Cont}
 		}
 		if r.Cont != nil {
+			if sc.pageSeq == nil {
+				sc.pageSeq = make(map[string]int)
+			}
+			sc.pageSeq[key] = r.PageSeq + 1
 			if sc.cursors == nil {
 				sc.cursors = make(map[string]*scanCursor)
 			}

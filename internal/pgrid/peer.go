@@ -377,7 +377,16 @@ type scanState struct {
 	// round resumes a partially-streamed partition at its cursor —
 	// never a from-scratch re-shower that would replay delivered rows.
 	// An entry is dropped when its partition's final page lands.
-	cursors  map[string]*scanCursor
+	cursors map[string]*scanCursor
+	// pageSeq is, per partition stream, the Seq of the next page the
+	// origin expects. Like cursors it outlives claim releases, so a
+	// late second answer to an already-answered pull is dropped even
+	// after the stream moved on — including a final answer, whose
+	// page may span pages already delivered when the two answers were
+	// cut under different windows. Row scans would absorb the replay
+	// through fact dedup; aggregated scans cannot, since their states
+	// fold rows together.
+	pageSeq  map[string]int
 	retries  int
 	coverage bool // completion by coverage (armed by the first retry)
 }

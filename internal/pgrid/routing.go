@@ -365,7 +365,7 @@ func (p *Peer) servePage(qid uint64, origin simnet.NodeID, cont pageCont, winByt
 		return
 	}
 	p.stats.pagesServed.Add(1)
-	resp := queryResp{QID: qid, Hops: cont.Hops}
+	resp := queryResp{QID: qid, Hops: cont.Hops, PageSeq: cont.Seq}
 	p.stampResp(&resp)
 	resp.ScanPath = cont.StreamPath
 	skipLeft := cont.SkipAtLo
@@ -398,6 +398,7 @@ func (p *Peer) servePage(qid uint64, origin simnet.NodeID, cont pageCont, winByt
 		next := cont
 		next.R.Lo = last
 		next.SkipAtLo = lastCount
+		next.Seq++
 		if last.Equal(cont.R.Lo) {
 			// The page never left the resumed bucket: carry the prior
 			// skip forward.
@@ -422,7 +423,7 @@ func (p *Peer) servePage(qid uint64, origin simnet.NodeID, cont pageCont, winByt
 // rows. winBytes caps the page payload exactly as in servePage.
 func (p *Peer) servePageDesc(qid uint64, origin simnet.NodeID, cont pageCont, winBytes int, ws *trace.WireSpan, traceID uint64) {
 	p.stats.pagesServed.Add(1)
-	resp := queryResp{QID: qid, Hops: cont.Hops}
+	resp := queryResp{QID: qid, Hops: cont.Hops, PageSeq: cont.Seq}
 	p.stampResp(&resp)
 	resp.ScanPath = cont.StreamPath
 	skipLeft := cont.SkipAtLo
@@ -462,6 +463,7 @@ func (p *Peer) servePageDesc(qid uint64, origin simnet.NodeID, cont pageCont, wi
 		next := cont
 		next.Cursor = last
 		next.SkipAtLo = lastCount
+		next.Seq++
 		if cursor.Len() > 0 && last.Equal(cursor) {
 			next.SkipAtLo += cont.SkipAtLo
 		}

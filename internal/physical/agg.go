@@ -39,7 +39,7 @@ func aggPushdownable(steps []Step, t Tail) bool {
 		return false
 	}
 	st := steps[0]
-	if len(st.Filters) > 0 || len(st.Sims) > 0 {
+	if len(st.Filters) > 0 || len(st.Sims) > 0 || len(st.Fused) > 0 {
 		return false
 	}
 	switch st.Strat {

@@ -93,7 +93,10 @@ type planMsg struct {
 }
 
 func (m planMsg) WireSize() int {
-	s := 64 + len(m.Steps)*48
+	s := 64
+	for _, st := range m.Steps {
+		s += 48 * (1 + len(st.Fused))
+	}
 	for _, b := range m.Bindings {
 		s += 24 * len(b)
 	}
@@ -741,7 +744,7 @@ func (ex *Exec) openFrom(i int) {
 // Callers hold pmu.
 func (ex *Exec) migrateFrom(idx int) {
 	s := ex.stages[idx]
-	target, _ := shipTarget(s.st)
+	target, _ := ShipTarget(s.st)
 	// Shipping must not loop: the receiving host starts at step 0 with
 	// Ship cleared on the first step.
 	steps := append([]Step(nil), ex.steps[idx:]...)
@@ -831,8 +834,12 @@ func (ex *Exec) Cancel() {
 	ex.finishPipeline(rows)
 }
 
-// shipTarget picks the region key the step's data lives at.
-func shipTarget(st Step) (keys.Key, bool) {
+// ShipTarget picks the region key the step's data lives at: where a
+// mutant plan migrates to run the step next to its data. ok is false
+// for steps with no single region (an OID lookup on a variable
+// subject probes wherever its bindings point), which therefore never
+// migrate; the optimizer marks Ship only where this reports a target.
+func ShipTarget(st Step) (keys.Key, bool) {
 	pat := st.Pat
 	switch st.Strat {
 	case StratOIDLookup:

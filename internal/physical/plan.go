@@ -23,6 +23,7 @@ package physical
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"unistore/internal/agg"
@@ -90,7 +91,13 @@ type SimSpec struct {
 // Step resolves one triple pattern and joins it into the running
 // binding set.
 type Step struct {
-	Pat   vql.Pattern
+	Pat vql.Pattern
+	// Fused lists further patterns on Pat's subject term that the step
+	// resolves from the same OID-index answer (StratOIDLookup only):
+	// one lookup per distinct subject returns every triple of that
+	// object, each pattern matches against it, and the matches join
+	// locally. Empty for an ordinary single-pattern step.
+	Fused []vql.Pattern
 	Strat AccessStrategy
 	// JoinOn lists variables shared with the bindings accumulated by
 	// earlier steps (empty for the first step or a cartesian join).
@@ -110,9 +117,39 @@ type Step struct {
 	Ship bool
 }
 
+// Patterns returns every pattern the step resolves: Pat, then the
+// fused ones.
+func (st Step) Patterns() []vql.Pattern {
+	if len(st.Fused) == 0 {
+		return []vql.Pattern{st.Pat}
+	}
+	return append([]vql.Pattern{st.Pat}, st.Fused...)
+}
+
+// Vars returns the variables the step binds, without duplicates.
+func (st Step) Vars() []string {
+	if len(st.Fused) == 0 {
+		return st.Pat.Vars()
+	}
+	var out []string
+	seen := map[string]bool{}
+	for _, pat := range st.Patterns() {
+		for _, v := range pat.Vars() {
+			if !seen[v] {
+				seen[v] = true
+				out = append(out, v)
+			}
+		}
+	}
+	return out
+}
+
 func (st Step) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s%s", st.Strat, st.Pat)
+	for _, pat := range st.Fused {
+		fmt.Fprintf(&sb, "+%s", pat)
+	}
 	if len(st.JoinOn) > 0 {
 		fmt.Fprintf(&sb, " join[%s]", strings.Join(st.JoinOn, ","))
 	}
@@ -227,6 +264,54 @@ func (p *Plan) String() string {
 			strings.Join(p.Tail.GroupBy, ","), strings.Join(items, ","), mode)
 	}
 	return out
+}
+
+// FuseSubjects folds each run of consecutive OID-lookup steps on the
+// same subject term — one ground OID, or one variable — into a single
+// step carrying all their patterns, so the run costs one OID-index
+// lookup per subject instead of one per pattern. The folded step keeps
+// the first step's placement (ship flag) and takes the union of the
+// run's join variables, filters and similarity predicates: all of them
+// apply once every pattern of the run has matched.
+func FuseSubjects(steps []Step) []Step {
+	out := make([]Step, 0, len(steps))
+	for _, st := range steps {
+		n := len(out)
+		if n == 0 || !fusable(out[n-1], st) {
+			out = append(out, st)
+			continue
+		}
+		// Clipped appends copy, so the caller's steps stay untouched.
+		prev := &out[n-1]
+		own := map[string]bool{}
+		for _, v := range prev.Vars() {
+			own[v] = true
+		}
+		joinOn := slices.Clip(prev.JoinOn)
+		for _, v := range st.JoinOn {
+			if !own[v] {
+				joinOn = append(joinOn, v)
+			}
+		}
+		prev.JoinOn = joinOn
+		prev.Fused = append(slices.Clip(prev.Fused), st.Patterns()...)
+		prev.Filters = append(slices.Clip(prev.Filters), st.Filters...)
+		prev.Sims = append(slices.Clip(prev.Sims), st.Sims...)
+	}
+	return out
+}
+
+// fusable reports whether b can fold into a: both resolve through the
+// OID index on the same subject term.
+func fusable(a, b Step) bool {
+	if a.Strat != StratOIDLookup || b.Strat != StratOIDLookup {
+		return false
+	}
+	s, t := a.Pat.S, b.Pat.S
+	if s.IsVar() || t.IsVar() {
+		return s.IsVar() && t.IsVar() && s.Var == t.Var
+	}
+	return s.Val.Equal(t.Val)
 }
 
 // WireSize estimates the serialized plan size.

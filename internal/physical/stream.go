@@ -611,18 +611,85 @@ func (s *stage) onEntries(entries []store.Entry) {
 // toBindings unifies entries with the pattern, deduplicating replica
 // copies of the same fact across the stage's whole lifetime.
 func (s *stage) toBindings(entries []store.Entry) []algebra.Binding {
+	if len(s.st.Fused) > 0 {
+		return s.fusedBindings(entries)
+	}
 	var out []algebra.Binding
 	for _, e := range entries {
-		fact := e.Triple.OID + "\x00" + e.Triple.Attr + "\x00" + e.Triple.Val.Lexical()
-		if s.seen[fact] {
+		if !s.fresh(e) {
 			continue
 		}
-		s.seen[fact] = true
 		if b, ok := algebra.MatchPattern(s.st.Pat, e.Triple); ok {
 			out = append(out, b)
 		}
 	}
 	return out
+}
+
+// fresh reports whether the entry's fact is new to the stage.
+func (s *stage) fresh(e store.Entry) bool {
+	fact := e.Triple.OID + "\x00" + e.Triple.Attr + "\x00" + e.Triple.Val.Lexical()
+	if s.seen[fact] {
+		return false
+	}
+	s.seen[fact] = true
+	return true
+}
+
+// fusedBindings resolves a fused step's patterns against OID-index
+// entries: each subject's triples match every pattern, and the matches
+// of one subject join locally (a cross product, filtered for agreement
+// on variables the patterns share). All of a subject's triples sit
+// under its one OID key, and the stage looks each key up once, so one
+// answer carries them all.
+func (s *stage) fusedBindings(entries []store.Entry) []algebra.Binding {
+	pats := s.st.Patterns()
+	matches := map[string][][]algebra.Binding{}
+	var order []string
+	for _, e := range entries {
+		if !s.fresh(e) {
+			continue
+		}
+		for i, pat := range pats {
+			b, ok := algebra.MatchPattern(pat, e.Triple)
+			if !ok {
+				continue
+			}
+			m, seen := matches[e.Triple.OID]
+			if !seen {
+				m = make([][]algebra.Binding, len(pats))
+				matches[e.Triple.OID] = m
+				order = append(order, e.Triple.OID)
+			}
+			m[i] = append(m[i], b)
+		}
+	}
+	var out []algebra.Binding
+	for _, oid := range order {
+		out = crossJoin(out, matches[oid])
+	}
+	return out
+}
+
+// crossJoin appends every compatible combination of one binding from
+// each part to out.
+func crossJoin(out []algebra.Binding, parts [][]algebra.Binding) []algebra.Binding {
+	rows := []algebra.Binding{{}}
+	for _, part := range parts {
+		var next []algebra.Binding
+		for _, r := range rows {
+			for _, b := range part {
+				if r.Compatible(b) {
+					next = append(next, r.Merge(b))
+				}
+			}
+		}
+		if len(next) == 0 {
+			return out
+		}
+		rows = next
+	}
+	return append(out, rows...)
 }
 
 // emit applies the step's predicates and pushes surviving rows to the
@@ -661,7 +728,7 @@ func (s *stage) upstreamEOS() {
 	}
 	s.upDone = true
 	if !s.opened && s.st.Ship && s.idx > 0 {
-		if target, ok := shipTarget(s.st); ok && !s.ex.eng.peer.Responsible(target) {
+		if target, ok := ShipTarget(s.st); ok && !s.ex.eng.peer.Responsible(target) {
 			s.ex.migrateFrom(s.idx)
 			return
 		}

@@ -45,7 +45,7 @@ func (s *stage) stageSpan(started, now int64) trace.Span {
 	ex := s.ex
 	sp := trace.Span{
 		ID: s.spanID, Parent: ex.rootSpan.ID, TraceID: ex.tc.TraceID,
-		Kind: "stage", Stage: fmt.Sprintf("s%d:%s", s.idx, s.st.Strat),
+		Kind: "stage", Stage: s.label(),
 		Peer: int64(ex.eng.peer.ID()), Path: ex.rootSpan.Path,
 		Depth: ex.tc.Depth,
 		Enq:   started, Srv: started, Rep: now,
@@ -58,6 +58,15 @@ func (s *stage) stageSpan(started, now int64) trace.Span {
 		sp.Rep = s.eosAt
 	}
 	return sp
+}
+
+// label names the stage in its span: index and strategy, plus the
+// pattern count of a fused step ("s1:oid-lookup*2").
+func (s *stage) label() string {
+	if n := len(s.st.Fused); n > 0 {
+		return fmt.Sprintf("s%d:%s*%d", s.idx, s.st.Strat, n+1)
+	}
+	return fmt.Sprintf("s%d:%s", s.idx, s.st.Strat)
 }
 
 // collectSpansLocked gathers every span this Exec produced so far: the

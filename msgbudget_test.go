@@ -27,6 +27,10 @@ import (
 // Re-measured at PR 10 (deterministic spec-seeded routing + shortest-
 // path reference choice): topk 25, index-join warm 13, paged scan 94,
 // group-by 38, churn top-k 39, rejoin catch-up 41 — budgets kept.
+// Measured at PR 12 on the 16×2 page-16 point-lookup scenario: the
+// bound-subject star 4 (5 on a cold cache) and the ground-subject star
+// 2, down from 130 and 5 when the star's patterns ran as
+// attribute-region scans and a migrated second OID lookup.
 const (
 	budgetTopK          = 40
 	budgetIndexJoinWarm = 16
@@ -34,6 +38,8 @@ const (
 	budgetChurnTopK     = 50
 	budgetGroupByAgg    = 60
 	budgetRejoinCatchup = 60
+	budgetLookupJoin    = 7
+	budgetLookupOID     = 3
 	// budgetFlowInflightBytes bounds the worst per-peer peak of queued
 	// bytes on the slow-replica flow scenario with credit windows on.
 	// Measured at PR 9: 32.8KB controlled (371KB uncontrolled) — a
@@ -88,6 +94,36 @@ func TestMessageBudgetIndexJoinWarm(t *testing.T) {
 		t.Errorf("warm index join sent %d messages, budget %d", msgs, budgetIndexJoinWarm)
 	}
 	t.Logf("warm index join: %d messages (budget %d)", msgs, budgetIndexJoinWarm)
+}
+
+// TestMessageBudgetLookupStars is the DHT index-join budget: both star
+// queries must plan their same-subject patterns as one OID-index
+// probe step — per bound subject, or once for the ground OID — instead
+// of attribute-region scans or a migrated second lookup.
+func TestMessageBudgetLookupStars(t *testing.T) {
+	c := benchscen.Lookup()
+	for _, tc := range []struct {
+		name, src, plan string
+		budget          int
+	}{
+		{"join", benchscen.LookupJoinQuery,
+			`av-lookup(?p,'email','p42@example.org') → oid-lookup(?p,'name',?n)+(?p,'age',?a) join[p]`, budgetLookupJoin},
+		{"oid", benchscen.LookupOIDQuery,
+			`oid-lookup('person-00042','name',?n)+('person-00042','age',?a)`, budgetLookupOID},
+	} {
+		res, err := c.QueryFrom(0, tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Plan != tc.plan {
+			t.Errorf("%s plan\n got %s\nwant %s", tc.name, res.Plan, tc.plan)
+		}
+		msgs := measure(t, c, tc.src)
+		if msgs > tc.budget {
+			t.Errorf("%s star sent %d messages, budget %d", tc.name, msgs, tc.budget)
+		}
+		t.Logf("%s star: %d messages (budget %d)", tc.name, msgs, tc.budget)
+	}
 }
 
 func TestMessageBudgetPagedScan(t *testing.T) {
