@@ -377,6 +377,7 @@ func referenceRows(t *testing.T, o clusterOpts, ds *workload.Dataset, queries []
 var equivalenceQueries = []string{
 	`SELECT ?n WHERE {(?p,'name',?n)}`,
 	`SELECT ?n,?a WHERE {(?p,'name',?n) (?p,'age',?a) FILTER ?a < 30}`,
+	`SELECT ?n,?e WHERE {(?p,'age',?a) (?p,'name',?n) (?p,'email',?e) FILTER ?a >= 25 AND ?a < 45}`,
 	`SELECT ?p WHERE {(?p,'age',?a) FILTER ?a >= 40}`,
 	`SELECT count(?a) AS ?cnt WHERE {(?p,'age',?a)}`,
 	`SELECT ?conf, count(*) AS ?cnt WHERE {(?u,'published_in',?conf)} GROUP BY ?conf`,

@@ -128,13 +128,18 @@ func TestDebugEndpointsServeLiveCluster(t *testing.T) {
 	}
 }
 
+// rangeJoinQuery is a filtered range join: the comparison narrows the
+// age scan and the name scan runs as a semi-join, so its trace proves
+// the range pushdown and the subject filter survive the real codec.
+const rangeJoinQuery = `SELECT ?n,?a WHERE {(?p,'name',?n) (?p,'age',?a) FILTER ?a < 30}`
+
 // TestTraceStructureMatchesSimnet pins transport independence: the
-// ranked top-k on the 3-process TCP cluster assembles a trace tree
-// structurally identical (canonical form: kind/stage/path shape,
-// ignoring ids, peers, timings) to the one simnet assembles for the
-// same deterministic scenario. Hedge/retry spans are filtered on both
-// sides — real-clock timing may fire failovers simnet's virtual clock
-// does not.
+// ranked top-k and a filtered range join on the 3-process TCP cluster
+// assemble trace trees structurally identical (canonical form:
+// kind/stage/path shape, ignoring ids, peers, timings) to the ones
+// simnet assembles for the same deterministic scenario. Hedge/retry
+// spans are filtered on both sides — real-clock timing may fire
+// failovers simnet's virtual clock does not.
 func TestTraceStructureMatchesSimnet(t *testing.T) {
 	requireIntegration(t)
 	o := clusterOpts{procs: 3, partitions: 8, replicas: 2, page: 8, seed: 5, trace: true, debug: true}
@@ -146,42 +151,55 @@ func TestTraceStructureMatchesSimnet(t *testing.T) {
 		Tracing: true,
 	})
 	ref.Insert(ds.Triples...)
-	if _, err := ref.QueryFrom(0, obsQuery); err != nil { // warm route caches like the TCP side
-		t.Fatal(err)
-	}
-	res, err := ref.QueryFrom(0, obsQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trace == nil {
-		t.Fatal("simnet reference produced no trace")
-	}
-	want := res.Trace.Canonical(steady)
-
 	daemons := startCluster(t, o)
 	loadWorkload(t, daemons[0], ds)
 	barrierAll(t, daemons)
-	// Process 0 hosts global peer 0 (round-robin placement) and queries
-	// from it, matching the reference origin. Warm once, then trace.
-	daemons[0].query(t, obsQuery)
-	if rows := daemons[0].query(t, obsQuery); len(rows) != 5 {
-		t.Fatalf("top-5 returned %d rows over TCP", len(rows))
-	}
-	_, body := httpGet(t, daemons[0], "/trace/recent")
-	var recent []*trace.QueryTrace
-	if err := json.Unmarshal([]byte(body), &recent); err != nil || len(recent) == 0 {
-		t.Fatalf("/trace/recent: %v\n%s", err, body)
-	}
-	got := recent[0].Canonical(steady)
 
-	if got != want {
-		t.Errorf("TCP trace tree differs structurally from simnet:\n--- simnet ---\n%s\n--- tcp ---\n%s", want, got)
-	}
-	if orphans := recent[0].Orphans(); len(orphans) != 0 {
-		t.Errorf("TCP trace has %d orphans", len(orphans))
-	}
-	msgs, bytes := recent[0].Totals()
-	if msgs == 0 || bytes == 0 {
-		t.Errorf("TCP trace accounts no traffic: %d msgs / %d bytes", msgs, bytes)
+	for _, tc := range []struct {
+		query, stage string
+		rows         int
+	}{
+		{obsQuery, "s0:av-range", 5},
+		{rangeJoinQuery, "s1:av-range[semi]", len(referenceRows(t, o, ds, []string{rangeJoinQuery})[rangeJoinQuery])},
+	} {
+		if _, err := ref.QueryFrom(0, tc.query); err != nil { // warm route caches like the TCP side
+			t.Fatal(err)
+		}
+		res, err := ref.QueryFrom(0, tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Trace == nil {
+			t.Fatal("simnet reference produced no trace")
+		}
+		want := res.Trace.Canonical(steady)
+		if !strings.Contains(want, tc.stage) {
+			t.Errorf("%s: simnet trace lacks stage %s (plan %s):\n%s", tc.query, tc.stage, res.Plan, want)
+		}
+
+		// Process 0 hosts global peer 0 (round-robin placement) and
+		// queries from it, matching the reference origin. Warm once,
+		// then trace.
+		daemons[0].query(t, tc.query)
+		if rows := daemons[0].query(t, tc.query); len(rows) != tc.rows {
+			t.Fatalf("%s returned %d rows over TCP, want %d", tc.query, len(rows), tc.rows)
+		}
+		_, body := httpGet(t, daemons[0], "/trace/recent")
+		var recent []*trace.QueryTrace
+		if err := json.Unmarshal([]byte(body), &recent); err != nil || len(recent) == 0 {
+			t.Fatalf("/trace/recent: %v\n%s", err, body)
+		}
+		got := recent[0].Canonical(steady)
+
+		if got != want {
+			t.Errorf("%s: TCP trace tree differs structurally from simnet:\n--- simnet ---\n%s\n--- tcp ---\n%s", tc.query, want, got)
+		}
+		if orphans := recent[0].Orphans(); len(orphans) != 0 {
+			t.Errorf("%s: TCP trace has %d orphans", tc.query, len(orphans))
+		}
+		msgs, bytes := recent[0].Totals()
+		if msgs == 0 || bytes == 0 {
+			t.Errorf("%s: TCP trace accounts no traffic: %d msgs / %d bytes", tc.query, msgs, bytes)
+		}
 	}
 }

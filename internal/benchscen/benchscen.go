@@ -85,6 +85,23 @@ func Lookup() *core.Cluster {
 	return c
 }
 
+// RangeJoinQuery is the benchmark's filtered range join: the age
+// comparison narrows its scan, and the ~30% of persons it keeps make
+// the name scan a semi-join.
+const RangeJoinQuery = `SELECT ?n,?a WHERE {(?p,'name',?n) (?p,'age',?a) FILTER ?a < 30}`
+
+// RangeJoin builds the range-join scenario on the topology of the
+// benchmark's analytic workload: 64 peers, page 16, 4 range shards,
+// LAN latency, 500 persons loaded.
+func RangeJoin() *core.Cluster {
+	c := core.NewCluster(core.Config{
+		Peers: Peers, Seed: 1, PageSize: 16, RangeShards: 4, Latency: core.LatencyLAN,
+	})
+	ds := workload.Generate(workload.Options{Seed: 1, Persons: 500})
+	c.BulkInsert(ds.Triples...)
+	return c
+}
+
 // IndexJoinPlan compiles the two-pattern join with the second step
 // pinned to the OID index: each person bound by the name scan is
 // resolved with one exact OID probe — the DHT index join, whose keys

@@ -291,6 +291,23 @@ func (s *Stats) MultiLookup(k int, expectedResults float64) Estimate {
 	}
 }
 
+// Probes prices the k probes of a DHT index join as the executor
+// issues them: one multi-lookup per upstream batch, and a paged
+// upstream delivers one batch per page, so k probes go out as
+// ceil(k/PageSize) multi-lookups of at most PageSize keys each. With
+// paging off, or k within one page, it is one MultiLookup. The batches
+// follow the upstream pages, so only one batch's round trip is priced
+// as latency.
+func (s *Stats) Probes(k int, expectedResults float64) Estimate {
+	if s.PageSize <= 0 || k <= s.PageSize {
+		return s.MultiLookup(k, expectedResults)
+	}
+	batches := (k + s.PageSize - 1) / s.PageSize
+	est := s.MultiLookup((k+batches-1)/batches, expectedResults)
+	est.Messages *= float64(batches)
+	return est
+}
+
 // pagePulls estimates the extra pull round trips (request + response
 // message pairs, total across partitions) a paged scan adds when the
 // expected rows per partition exceed the page size. Zero when paging

@@ -125,3 +125,22 @@ func TestProbeRTTLatencyAware(t *testing.T) {
 		t.Errorf("MultiLookup first latency ignores RTT: slow %v vs fast %v", s.FirstLatency, f.FirstLatency)
 	}
 }
+
+// TestProbesPricedPerUpstreamBatch: k probes cost one multi-lookup per
+// page of upstream bindings — unchanged within one page, and
+// ceil(k/PageSize) batches beyond it.
+func TestProbesPricedPerUpstreamBatch(t *testing.T) {
+	s := DefaultStats(64)
+	s.PageSize = 16
+	if got, want := s.Probes(16, 16), s.MultiLookup(16, 16); got != want {
+		t.Errorf("one page of probes: %+v, want the single batch %+v", got, want)
+	}
+	got, one := s.Probes(40, 40), s.MultiLookup(14, 40)
+	if got.Messages != 3*one.Messages || got.Latency != one.Latency || got.Results != 40 {
+		t.Errorf("40 probes at page 16: %+v, want three batches of %+v", got, one)
+	}
+	s.PageSize = 0
+	if got, want := s.Probes(40, 40), s.MultiLookup(40, 40); got != want {
+		t.Errorf("paging off: %+v, want one batch %+v", got, want)
+	}
+}

@@ -15,11 +15,11 @@ package optimizer
 
 import (
 	"math"
+	"slices"
 
 	"unistore/internal/cost"
 	"unistore/internal/pgrid"
 	"unistore/internal/physical"
-	"unistore/internal/triple"
 	"unistore/internal/vql"
 )
 
@@ -261,7 +261,7 @@ func (o *Optimizer) order(steps []physical.Step, seed map[string]bool, prevCard 
 		out := make([]physical.Step, len(steps))
 		copy(out, steps)
 		for i := range out {
-			out[i].Strat = o.chooseStrategy(out[i], nil, 0, 0)
+			out[i].Strat, _ = o.chooseStrategy(out[i], nil, 0, 0)
 			out[i].Ship = false
 		}
 		return out
@@ -300,9 +300,21 @@ func (o *Optimizer) order(steps []physical.Step, seed map[string]bool, prevCard 
 		bestIdx, bestCost := -1, math.Inf(1)
 		var bestEst cost.Estimate
 		for _, ri := range remaining {
+			// Price the candidate with the filters it would cover: a
+			// pushed-down value predicate narrows its scan.
 			st := physical.Step{Pat: pool[ri], Sims: simsFor(pool[ri], allSims, usedSims)}
-			strat := o.chooseStrategy(st, bound, card, stepLimit)
-			est := o.estimate(strat, st, card, bound).ScaledToLimit(stepLimit)
+			st.Filters, _ = filtersFor(pool[ri], allFilters, usedFilters, bound)
+			var est cost.Estimate
+			if rides(out, st) {
+				// The previous step's OID answers already hold this
+				// pattern's triples: it fuses for free.
+				st.Strat = physical.StratOIDLookup
+				est = cost.Estimate{Results: card}
+			} else {
+				st.Strat, st.Semi = o.chooseStrategy(st, bound, card, stepLimit)
+				st = narrowed(st)
+				est = o.estimate(st.Strat, st, card, bound).ScaledToLimit(stepLimit)
+			}
 			// Prefer connected, cheap, selective steps.
 			c := est.Messages + est.Results*0.1
 			if !connected(pool[ri], bound) && len(bound) > 0 {
@@ -321,25 +333,20 @@ func (o *Optimizer) order(steps []physical.Step, seed map[string]bool, prevCard 
 			}
 		}
 		st.Sims = takeSims(pat, allSims, usedSims, bound)
-		st.Strat = o.chooseStrategy(st, bound, card, stepLimit)
+		// Attach every filter whose variables this step binds last.
+		var taken []int
+		st.Filters, taken = filtersFor(pat, allFilters, usedFilters, bound)
+		for _, fi := range taken {
+			usedFilters[fi] = true
+		}
+		if rides(out, st) {
+			st.Strat = physical.StratOIDLookup
+		} else {
+			st.Strat, st.Semi = o.chooseStrategy(st, bound, card, stepLimit)
+			st = narrowed(st)
+		}
 		for _, v := range pat.Vars() {
 			bound[v] = true
-		}
-		// Attach every filter whose variables are now bound.
-		for fi, f := range allFilters {
-			if usedFilters[fi] {
-				continue
-			}
-			if filterCovered(f, bound) {
-				usedFilters[fi] = true
-				st.Filters = append(st.Filters, f)
-			}
-		}
-		// Push startswith(?v,'p') into the range scan: with the
-		// order-preserving hash, the matching values form one
-		// contiguous key interval (the paper's native prefix search).
-		if st.Strat == physical.StratAVRange {
-			st.ValuePrefix = prefixFor(st)
 		}
 		// Ship decision: only a step with a region to migrate to can
 		// ship; marking any other would make its stage a barrier for
@@ -378,6 +385,17 @@ func (o *Optimizer) order(steps []physical.Step, seed map[string]bool, prevCard 
 		}
 	}
 	return physical.FuseSubjects(out)
+}
+
+// rides reports whether st can resolve as an OID lookup fused into the
+// last step planned so far (physical.FuseSubjects): that step looks up
+// the same subject, and its answers carry every triple of it.
+func rides(out []physical.Step, st physical.Step) bool {
+	if len(out) == 0 {
+		return false
+	}
+	st.Strat = physical.StratOIDLookup
+	return physical.Fusable(out[len(out)-1], st)
 }
 
 // connected reports whether the pattern shares a variable with the
@@ -429,44 +447,27 @@ func takeSims(pat vql.Pattern, sims []physical.SimSpec, used []bool, bound map[s
 	return out
 }
 
-// prefixFor extracts the longest literal prefix constraint
-// startswith(?v, 'p') among the step's filters, for the step's own
-// value variable. The filter itself stays attached (re-checking is
-// free and keeps the pushdown purely an access-path optimization).
-func prefixFor(st physical.Step) string {
-	if !st.Pat.V.IsVar() {
-		return ""
-	}
-	best := ""
-	for _, f := range st.Filters {
-		bf, ok := f.(vql.BoolFunc)
-		if !ok || bf.Name != "startswith" || len(bf.Args) != 2 {
+// filtersFor returns the unused filters a step on pat would cover —
+// every variable bound upstream or by pat — and their indexes.
+func filtersFor(pat vql.Pattern, filters []vql.Expr, used []bool, bound map[string]bool) ([]vql.Expr, []int) {
+	var out []vql.Expr
+	var idx []int
+	for fi, f := range filters {
+		if used[fi] {
 			continue
 		}
-		v, ok := bf.Args[0].(vql.VarOperand)
-		if !ok || v.Name != st.Pat.V.Var {
-			continue
-		}
-		lit, ok := bf.Args[1].(vql.LitOperand)
-		if !ok || lit.Val.Kind != triple.KindString {
-			continue
-		}
-		if len(lit.Val.Str) > len(best) {
-			best = lit.Val.Str
+		covered := true
+		walkVars(f, func(v string) {
+			if !bound[v] && !slices.Contains(pat.Vars(), v) {
+				covered = false
+			}
+		})
+		if covered {
+			out = append(out, f)
+			idx = append(idx, fi)
 		}
 	}
-	return best
-}
-
-// filterCovered reports whether all filter variables are bound.
-func filterCovered(f vql.Expr, bound map[string]bool) bool {
-	covered := true
-	walkVars(f, func(v string) {
-		if !bound[v] {
-			covered = false
-		}
-	})
-	return covered
+	return out, idx
 }
 
 func walkVars(e vql.Expr, fn func(string)) {
@@ -506,13 +507,15 @@ func walkOperand(o vql.Operand, fn func(string)) {
 // to what the early-terminating executor will actually pay — which
 // penalizes the q-gram path (its gram phase is pure startup) relative
 // to the shard-by-shard range scan. A step whose subject variable is
-// bound upstream can also resolve as a DHT index join on the OID
-// index — one probe per distinct subject — and does when that prices
-// below its shape's access path; many bindings keep the region scan.
-func (o *Optimizer) chooseStrategy(st physical.Step, bound map[string]bool, card float64, limit int) physical.AccessStrategy {
+// bound upstream has two more ways to run: as a DHT index join on the
+// OID index — one probe per distinct subject, batched per upstream
+// page — or, for an A#v range, as a semi-join filtered scan (semi > 0,
+// see physical.Step.Semi). The cheapest of the three wins; many
+// bindings keep the plain region scan.
+func (o *Optimizer) chooseStrategy(st physical.Step, bound map[string]bool, card float64, limit int) (strat physical.AccessStrategy, semi int) {
 	if o.Opt.ForceStrategy != physical.StratAuto {
 		if applicable(o.Opt.ForceStrategy, st) {
-			return o.Opt.ForceStrategy
+			return o.Opt.ForceStrategy, 0
 		}
 	}
 	shape := physical.DefaultStrategy(st)
@@ -528,14 +531,49 @@ func (o *Optimizer) chooseStrategy(st physical.Step, bound map[string]bool, card
 			shape = physical.StratQGram
 		}
 	}
-	if shape != physical.StratOIDLookup && st.Pat.S.IsVar() && bound[st.Pat.S.Var] {
-		probe := o.estimate(physical.StratOIDLookup, st, card, bound).ScaledToLimit(limit)
-		def := o.estimate(shape, st, card, bound).ScaledToLimit(limit)
-		if probe.Messages < def.Messages {
-			return physical.StratOIDLookup
+	if shape == physical.StratOIDLookup || !st.Pat.S.IsVar() || !bound[st.Pat.S.Var] {
+		return shape, 0
+	}
+	st.Strat = shape
+	st = narrowed(st)
+	def := o.estimate(shape, st, card, bound).ScaledToLimit(limit)
+	if n := o.semiCap(st, bound, card); n > 0 {
+		st.Semi = n
+		if e := o.estimate(shape, st, card, bound).ScaledToLimit(limit); e.Messages < def.Messages {
+			def, semi = e, n
 		}
 	}
-	return shape
+	probe := o.estimate(physical.StratOIDLookup, st, card, bound).ScaledToLimit(limit)
+	if probe.Messages < def.Messages {
+		return physical.StratOIDLookup, 0
+	}
+	return shape, semi
+}
+
+// semiShare is how far below the attribute's triple count the
+// upstream cardinality must stay before a semi-join filtered scan is
+// considered: the filter must prune most of the region to pay for the
+// barrier it puts in front of the scan.
+const semiShare = 0.5
+
+// semiCap returns the Semi value of an A#v range step run as a
+// semi-join filtered scan — the attribute's triple count — or 0 when
+// the step cannot or should not: no A#v region scan (a bound value
+// variable probes), no paging (the filter then saves bytes, never
+// messages), an upstream within one page, or one that is not well
+// below the count. An upstream within one page is one probe batch,
+// and a probe step also resolves every other pattern on the subject
+// from the same answer; the filtered scan is for upstreams that span
+// several batches.
+func (o *Optimizer) semiCap(st physical.Step, bound map[string]bool, card float64) int {
+	if st.Strat != physical.StratAVRange || st.Pat.A.IsVar() || !st.Pat.V.IsVar() || bound[st.Pat.V.Var] {
+		return 0
+	}
+	n := o.Stats.AttrCount(st.Pat.A.Val.Str)
+	if o.Stats.PageSize <= 0 || card <= float64(o.Stats.PageSize) || card > semiShare*float64(n) {
+		return 0
+	}
+	return n
 }
 
 // applicable reports whether a forced strategy can execute the step's
@@ -571,21 +609,31 @@ func (o *Optimizer) estimate(strat physical.AccessStrategy, st physical.Step, ca
 	attrCount := float64(s.AttrCount(attr))
 	switch strat {
 	case physical.StratOIDLookup:
-		k := 1
 		if st.Pat.S.IsVar() {
-			k = int(card)
+			return s.Probes(int(card), card)
 		}
-		return s.MultiLookup(k, card)
+		return s.MultiLookup(1, card)
 	case physical.StratAVLookup:
 		return s.Lookup(attrCount * cost.EqSelectivity)
 	case physical.StratAVRange:
 		if st.Pat.V.IsVar() && bound[st.Pat.V.Var] {
 			// Joins via bound values: parallel probes. A bound subject
 			// alone does not help — the executor scans the region.
-			return s.MultiLookup(int(card), card)
+			return s.Probes(int(card), card)
 		}
-		frac := attrCount / math.Max(float64(s.TotalTriples), 1)
-		return s.Range(frac, attrCount)
+		// Pushed-down value predicates shrink the scanned share of the
+		// region; a semi-join scan also sends at most one entry per
+		// upstream subject.
+		sel := 1.0
+		if len(st.Narrow) > 0 {
+			_, sel = pushdown(st)
+		}
+		rows := attrCount * sel
+		frac := rows / math.Max(float64(s.TotalTriples), 1)
+		if st.Semi > 0 && card < float64(st.Semi) {
+			return s.Range(frac, math.Min(rows, card))
+		}
+		return s.Range(frac, rows)
 	case physical.StratValLookup:
 		return s.Lookup(attrCount * cost.EqSelectivity)
 	case physical.StratBroadcast:

@@ -1,13 +1,18 @@
 package optimizer_test
 
 import (
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"unistore/internal/cost"
+	"unistore/internal/keys"
 	"unistore/internal/optimizer"
 	"unistore/internal/pgrid"
 	"unistore/internal/physical"
 	"unistore/internal/simnet"
+	"unistore/internal/triple"
 	"unistore/internal/vql"
 )
 
@@ -171,7 +176,8 @@ func TestPrefixPushdown(t *testing.T) {
 	o := optimizer.New(cost.DefaultStats(64), optimizer.DefaultOptions())
 	p := compile(t, `SELECT ?t WHERE {(?p,'title',?t) FILTER startswith(?t,'Paper 001')}`)
 	o.Optimize(p)
-	if p.Steps[0].ValuePrefix != "Paper 001" {
+	want := []keys.Range{triple.AVStringPrefixRange("title", "Paper 001")}
+	if !reflect.DeepEqual(p.Steps[0].Narrow, want) {
 		t.Errorf("prefix not pushed down: %+v", p.Steps[0])
 	}
 	// The filter stays attached for re-checking.
@@ -182,7 +188,7 @@ func TestPrefixPushdown(t *testing.T) {
 	p2 := compile(t, `SELECT ?t WHERE {(?p,'title',?t) (?p,'name',?n) FILTER startswith(?n,'x')}`)
 	o.Optimize(p2)
 	for _, st := range p2.Steps {
-		if st.Pat.A.Val.Str == "title" && st.ValuePrefix != "" {
+		if st.Pat.A.Val.Str == "title" && len(st.Narrow) > 0 {
 			t.Errorf("prefix wrongly pushed to title scan: %+v", st)
 		}
 	}
@@ -277,8 +283,9 @@ func TestGroundSubjectStarFuses(t *testing.T) {
 	}
 }
 
-// TestRegionScanKeptForManyBindings: 2000 bound subjects on 64
-// partitions at the hit rate a cold analytic cluster reports (0) cost
+// TestRegionScanKeptForManyBindings: hundreds of bound subjects on 64
+// partitions (2000 persons, ~600 once the age filter narrows the lead
+// scan) at the hit rate a cold analytic cluster reports (0) cost
 // thousands of probe messages, far above one paged region scan.
 func TestRegionScanKeptForManyBindings(t *testing.T) {
 	s := cost.DefaultStats(64)
@@ -356,5 +363,162 @@ func TestRechooseKeepsBoundVariables(t *testing.T) {
 	want := `oid-lookup(?p,'name',?n)+(?p,'age',?a) join[p]`
 	if len(out) != 2 || out[1].String() != want {
 		t.Errorf("remainder re-planned as %v, want its second step %s", out, want)
+	}
+}
+
+// analyticStats mirrors the 64-partition, page-16 topology of a
+// 2000-person workload.Generate dataset (~29000 triples).
+func analyticStats() *cost.Stats {
+	s := cost.DefaultStats(64)
+	s.TotalTriples = 29000
+	s.PageSize = 16
+	for _, a := range []string{"name", "age", "title", "published_in"} {
+		s.TriplesPerAttr[a] = 2000
+	}
+	return s
+}
+
+const rangeJoinSrc = `SELECT ?n,?a WHERE {(?p,'name',?n) (?p,'age',?a) FILTER ?a < 30}`
+
+// TestRangePushdownOrdersFilteredStepFirst: the comparison narrows the
+// age scan to the numbers below 30 plus the string sub-region, which
+// prices it below the whole name region, so it leads; its ~600 rows
+// then make the name scan a semi-join.
+func TestRangePushdownOrdersFilteredStepFirst(t *testing.T) {
+	o := optimizer.New(analyticStats(), optimizer.DefaultOptions())
+	p := o.Optimize(compile(t, rangeJoinSrc))
+	want := `av-range(?p,'age',?a) filter[?a<30] → av-range(?p,'name',?n) join[p] semi`
+	if got := p.String(); got != want {
+		t.Fatalf("plan\n got %s\nwant %s", got, want)
+	}
+	nums, _ := triple.AVNumberRange("age", math.Inf(-1), 30, false, true)
+	if got, want := p.Steps[0].Narrow, []keys.Range{nums, triple.AVKindRange("age", triple.KindString)}; !reflect.DeepEqual(got, want) {
+		t.Errorf("age scan narrowed to %v, want %v", got, want)
+	}
+	if p.Steps[1].Semi != 2000 || len(p.Steps[1].Narrow) != 0 {
+		t.Errorf("name step: %+v, want a plain-region semi-join capped at the attribute's 2000 triples", p.Steps[1])
+	}
+}
+
+// TestRangePushdownIntervals: every pushable form, in either operand
+// order, narrows the scan to the same intervals, priced with
+// RangeSelectivity per bound or EqSelectivity.
+func TestRangePushdownIntervals(t *testing.T) {
+	s := analyticStats()
+	o := optimizer.New(s, optimizer.DefaultOptions())
+	scan := func(sel float64) float64 {
+		return s.Range(2000*sel/29000, 2000*sel).Messages
+	}
+	nums := func(lo, hi float64, loOpen, hiOpen bool) keys.Range {
+		r, ok := triple.AVNumberRange("age", lo, hi, loOpen, hiOpen)
+		if !ok {
+			t.Fatalf("empty interval [%v,%v]", lo, hi)
+		}
+		return r
+	}
+	strs := triple.AVKindRange("age", triple.KindString)
+	tail := func(lo float64, open bool) keys.Range { // numbers from lo, then the strings
+		return keys.Range{Lo: nums(lo, math.Inf(1), open, false).Lo, Hi: strs.Hi, HiOpen: true}
+	}
+	inf := math.Inf(1)
+	r, rr := cost.RangeSelectivity, cost.RangeSelectivity*cost.RangeSelectivity
+	for _, tc := range []struct {
+		filter string
+		want   []keys.Range
+		sel    float64
+	}{
+		{`FILTER ?a < 30`, []keys.Range{nums(-inf, 30, false, true), strs}, r},
+		{`FILTER 30 > ?a`, []keys.Range{nums(-inf, 30, false, true), strs}, r},
+		{`FILTER ?a <= 30`, []keys.Range{nums(-inf, 30, false, false), strs}, r},
+		{`FILTER 30 >= ?a`, []keys.Range{nums(-inf, 30, false, false), strs}, r},
+		{`FILTER ?a > 30`, []keys.Range{tail(30, true)}, r},
+		{`FILTER 30 < ?a`, []keys.Range{tail(30, true)}, r},
+		{`FILTER ?a >= 30`, []keys.Range{tail(30, false)}, r},
+		{`FILTER ?a = 30`, []keys.Range{nums(30, 30, false, false), strs}, cost.EqSelectivity},
+		{`FILTER 30 = ?a`, []keys.Range{nums(30, 30, false, false), strs}, cost.EqSelectivity},
+		{`FILTER ?a > 20 AND ?a < 30`, []keys.Range{nums(20, 30, true, true), strs}, rr},
+		{`FILTER ?a > 20 FILTER ?a < 30`, []keys.Range{nums(20, 30, true, true), strs}, rr},
+		{`FILTER ?a > 20 AND ?a > 25 AND length(?a) > 1`, []keys.Range{tail(25, true)}, r},
+		{`FILTER ?a > 30 AND ?a < 20`, []keys.Range{strs}, rr},
+		{`FILTER startswith(?a,'x')`, []keys.Range{triple.AVStringPrefixRange("age", "x")}, r},
+		{`FILTER startswith(?a,'2')`, []keys.Range{triple.AVKindRange("age", triple.KindNumber), triple.AVStringPrefixRange("age", "2")}, r},
+	} {
+		p := o.Optimize(compile(t, `SELECT ?a WHERE {(?p,'age',?a) `+tc.filter+`}`))
+		if got := p.Steps[0].Narrow; !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: narrowed to %v, want %v", tc.filter, got, tc.want)
+		}
+		if got, want := o.EstimatePlan(p).Messages, scan(tc.sel); got != want {
+			t.Errorf("%s: priced %.2f msgs, want %.2f (selectivity %v)", tc.filter, got, want, tc.sel)
+		}
+	}
+	// Nothing pushes through OR, NOT, a string literal or another
+	// variable.
+	for _, f := range []string{`FILTER ?a < 30 OR ?a > 60`, `FILTER NOT (?a < 30)`, `FILTER ?a < '30'`, `FILTER ?a < ?b`} {
+		p := o.Optimize(compile(t, `SELECT ?a WHERE {(?p,'age',?a) (?p,'bound',?b) `+f+`}`))
+		for _, st := range p.Steps {
+			if len(st.Narrow) > 0 {
+				t.Errorf("%s: narrowed %s", f, st)
+			}
+		}
+	}
+}
+
+// TestSemiJoinChoice: a subject-bound A#v range becomes a semi-join
+// scan only when the upstream is well below the attribute's count and
+// spans several probe batches; equal cardinalities keep the plain scan.
+func TestSemiJoinChoice(t *testing.T) {
+	o := optimizer.New(analyticStats(), optimizer.DefaultOptions())
+	for _, tc := range []struct {
+		src, want string
+	}{
+		// scanjoin: 2000 titles against 2000 venues.
+		{`SELECT ?t,?c WHERE {(?u,'title',?t) (?u,'published_in',?c)}`,
+			`av-range(?u,'title',?t) → av-range(?u,'published_in',?c) join[u]`},
+		// ~20 subjects of one age: above a page, far below 2000 (and
+		// few enough to ship the plan to the name region).
+		{`SELECT ?n WHERE {(?p,'age',?a) (?p,'name',?n) FILTER ?a = 30}`,
+			`av-range(?p,'age',?a) filter[?a=30] → av-range(?p,'name',?n) join[p] semi ship`},
+	} {
+		if got := o.Optimize(compile(t, tc.src)).String(); got != tc.want {
+			t.Errorf("plan\n got %s\nwant %s", got, tc.want)
+		}
+	}
+	// One page of bound subjects is one probe batch: the fused OID
+	// probe keeps winning (the lookup-star plan is unchanged).
+	lo := optimizer.New(lookupStats(), optimizer.DefaultOptions())
+	if p := lo.Optimize(compile(t, joinSrc)); strings.Contains(p.String(), "semi") {
+		t.Errorf("one page of subjects planned a semi-join: %s", p)
+	}
+}
+
+// TestEstimateSemiStep: EstimatePlan prices a semi-join step as a scan
+// of the region that ships at most one entry per upstream subject.
+func TestEstimateSemiStep(t *testing.T) {
+	s := analyticStats()
+	o := optimizer.New(s, optimizer.DefaultOptions())
+	p := o.Optimize(compile(t, rangeJoinSrc))
+	age := s.Range(2000*cost.RangeSelectivity/29000, 2000*cost.RangeSelectivity)
+	name := s.Range(2000.0/29000, age.Results)
+	if got, want := o.EstimatePlan(p).Messages, age.Plus(name).Messages; got != want {
+		t.Errorf("range join priced %.2f msgs, want %.2f", got, want)
+	}
+	plain := p.Steps[1]
+	plain.Semi = 0
+	if o.EstimatePlan(&physical.Plan{Steps: []physical.Step{p.Steps[0], plain}}).Messages <= o.EstimatePlan(p).Messages {
+		t.Error("the plain scan must price above the semi-join")
+	}
+}
+
+// TestRechooseKeepsSemiJoin: a host re-planning a migrated range join
+// with the upstream's ~600 bindings chooses the semi-join again.
+func TestRechooseKeepsSemiJoin(t *testing.T) {
+	o := optimizer.New(analyticStats(), optimizer.DefaultOptions())
+	p := o.Optimize(compile(t, rangeJoinSrc))
+	rem := append([]physical.Step(nil), p.Steps...)
+	rem[1].Semi = 0
+	peer := pgrid.NewPeer(simnet.New(simnet.Config{Seed: 1}), pgrid.DefaultConfig())
+	out := o.Rechoose(rem, p.Tail, 600, peer)
+	if len(out) != 2 || out[1].Semi == 0 || !reflect.DeepEqual(out[0].Narrow, p.Steps[0].Narrow) {
+		t.Errorf("remainder re-planned as %v", out)
 	}
 }

@@ -13,7 +13,13 @@ import (
 // hedge must recover a server that dies between pages within roughly
 // one hedge interval — not the 10× scan-level re-shower backstop — and
 // deliver every fact exactly once.
-func TestPagePullHedgeRecoversFastMidPaginationDeath(t *testing.T) {
+func TestPagePullHedgeRecoversFastMidPaginationDeath(t *testing.T) { hedgeMidPagination(t, nil) }
+
+// TestSemiScanHedgeMidPaginationDeath is the pull hedge under a
+// semi-join filtered scan: the hedged pull carries the filter on.
+func TestSemiScanHedgeMidPaginationDeath(t *testing.T) { hedgeMidPagination(t, everyOther(40)) }
+
+func hedgeMidPagination(t *testing.T, f *SubjectFilter) {
 	cfg := DefaultConfig()
 	cfg.PageSize = 2
 	net, peers := loadReplicated(81, 2, 2, 40, cfg)
@@ -34,7 +40,7 @@ func TestPagePullHedgeRecoversFastMidPaginationDeath(t *testing.T) {
 	start := net.Now()
 	h := q.RangeQueryPages(triple.ByAV, triple.AVPrefixRange("age"), func(es []store.Entry) {
 		streamed = append(streamed, es...)
-	}, nil)
+	}, nil, WithSubjects(f))
 	// Step until the first remote page landed — the pull for the next
 	// page is then already in flight — and kill its server.
 	for len(streamed) == 0 && net.Step() {
@@ -65,18 +71,7 @@ func TestPagePullHedgeRecoversFastMidPaginationDeath(t *testing.T) {
 		t.Errorf("recovery took %v, want < %v (the pull hedge, not the re-shower, must recover)",
 			elapsed, backstop)
 	}
-	seen := map[string]int{}
-	for _, e := range streamed {
-		seen[e.Triple.OID]++
-	}
-	if len(seen) != 40 {
-		t.Errorf("streamed %d distinct facts, want 40", len(seen))
-	}
-	for oid, n := range seen {
-		if n != 1 {
-			t.Errorf("fact %s streamed %d times, want once", oid, n)
-		}
-	}
+	checkStream(t, streamed, 40, f)
 	if q.PendingOps() != 0 {
 		t.Errorf("pending ops leaked: %d", q.PendingOps())
 	}

@@ -1,6 +1,7 @@
 package pgrid
 
 import (
+	"fmt"
 	"testing"
 
 	"unistore/internal/keys"
@@ -15,7 +16,7 @@ import (
 
 // scanAge opens a paged scan over the age region from a peer outside
 // it and returns the origin, the handle and the collected stream.
-func scanAge(t *testing.T, peers []*Peer) (*Peer, *Handle, *[]store.Entry) {
+func scanAge(t *testing.T, peers []*Peer, opts ...OpOption) (*Peer, *Handle, *[]store.Entry) {
 	t.Helper()
 	probe := triple.AVKey("age", triple.N(0))
 	var q *Peer
@@ -31,25 +32,48 @@ func scanAge(t *testing.T, peers []*Peer) (*Peer, *Handle, *[]store.Entry) {
 	streamed := &[]store.Entry{}
 	h := q.RangeQueryPages(triple.ByAV, triple.AVPrefixRange("age"), func(es []store.Entry) {
 		*streamed = append(*streamed, es...)
-	}, nil)
+	}, nil, opts...)
 	return q, h, streamed
 }
 
-// checkExact asserts the stream holds each of the facts exactly once.
-func checkExact(t *testing.T, streamed []store.Entry, facts int) {
+// checkStream asserts the stream holds, exactly once each, the facts
+// (loadReplicated's rp00, rp01, ...) that the filter f admits — every
+// one for a nil f — and nothing else.
+func checkStream(t *testing.T, streamed []store.Entry, facts int, f *SubjectFilter) {
 	t.Helper()
 	seen := map[string]int{}
 	for _, e := range streamed {
 		seen[e.Triple.OID]++
 	}
-	if len(seen) != facts {
-		t.Errorf("streamed %d distinct facts, want %d", len(seen), facts)
-	}
-	for oid, n := range seen {
-		if n != 1 {
-			t.Errorf("fact %s streamed %d times, want once", oid, n)
+	admitted := 0
+	for i := 0; i < facts; i++ {
+		oid := fmt.Sprintf("rp%02d", i)
+		switch n := seen[oid]; {
+		case f.Has(oid):
+			admitted++
+			if n != 1 {
+				t.Errorf("fact %s streamed %d times, want once", oid, n)
+			}
+		case n != 0:
+			t.Errorf("fact %s streamed %d times, but the filter excludes it", oid, n)
 		}
 	}
+	if len(seen) != admitted {
+		t.Errorf("streamed %d distinct facts, want %d", len(seen), admitted)
+	}
+	if f != nil && admitted == facts {
+		t.Errorf("the filter admitted all %d facts; the scan filtered nothing", facts)
+	}
+}
+
+// everyOther is the subject filter of the even-numbered facts of
+// loadReplicated.
+func everyOther(facts int) *SubjectFilter {
+	var oids []string
+	for i := 0; i < facts; i += 2 {
+		oids = append(oids, fmt.Sprintf("rp%02d", i))
+	}
+	return NewSubjectFilter(oids)
 }
 
 // TestJoinTriggersSplitMidScanExact: a fresh peer joins a replica
@@ -57,12 +81,18 @@ func checkExact(t *testing.T, streamed []store.Entry, facts int) {
 // group then splits live — paths deepen, stores re-partition, the
 // joiner takes one half — and the scan must still deliver every fact
 // exactly once.
-func TestJoinTriggersSplitMidScanExact(t *testing.T) {
+func TestJoinTriggersSplitMidScanExact(t *testing.T) { splitMidScan(t, nil) }
+
+// TestSemiScanSplitMidScanExact is the live split under a semi-join
+// filtered scan: the continuations keep the filter through the split.
+func TestSemiScanSplitMidScanExact(t *testing.T) { splitMidScan(t, everyOther(120)) }
+
+func splitMidScan(t *testing.T, f *SubjectFilter) {
 	cfg := DefaultConfig()
 	cfg.PageSize = 2
 	const facts = 120
 	net, peers := loadReplicated(91, 8, 2, facts, cfg)
-	q, h, streamed := scanAge(t, peers)
+	q, h, streamed := scanAge(t, peers, WithSubjects(f))
 	remotePageIn := func() bool {
 		for _, e := range *streamed {
 			if !e.Key.HasPrefix(q.Path()) {
@@ -118,7 +148,7 @@ func TestJoinTriggersSplitMidScanExact(t *testing.T) {
 	if !res.Complete {
 		t.Fatalf("scan incomplete across live split: %+v", res)
 	}
-	checkExact(t, *streamed, facts)
+	checkStream(t, *streamed, facts, f)
 	if q.PendingOps() != 0 {
 		t.Errorf("pending ops leaked: %d", q.PendingOps())
 	}
@@ -129,12 +159,18 @@ func TestJoinTriggersSplitMidScanExact(t *testing.T) {
 // transfer their store to the sibling group, the sibling widens to the
 // parent path, the leavers die. The resumed pulls must pick up at the
 // cursor through the widened group, and the scan stays exact.
-func TestMergeDuringPagedPullResumesExact(t *testing.T) {
+func TestMergeDuringPagedPullResumesExact(t *testing.T) { mergeMidPull(t, nil) }
+
+// TestSemiScanMergeMidPullExact is the live merge under a semi-join
+// filtered scan: the widened group resumes the cursor with the filter.
+func TestSemiScanMergeMidPullExact(t *testing.T) { mergeMidPull(t, everyOther(120)) }
+
+func mergeMidPull(t *testing.T, f *SubjectFilter) {
 	cfg := DefaultConfig()
 	cfg.PageSize = 2
 	const facts = 120
 	net, peers := loadReplicated(92, 8, 2, facts, cfg)
-	q, h, streamed := scanAge(t, peers)
+	q, h, streamed := scanAge(t, peers, WithSubjects(f))
 	remotePageIn := func() bool {
 		for _, e := range *streamed {
 			if !e.Key.HasPrefix(q.Path()) {
@@ -202,7 +238,7 @@ func TestMergeDuringPagedPullResumesExact(t *testing.T) {
 	if !res.Complete {
 		t.Fatalf("scan incomplete across live merge: %+v", res)
 	}
-	checkExact(t, *streamed, facts)
+	checkStream(t, *streamed, facts, f)
 	if q.PendingOps() != 0 {
 		t.Errorf("pending ops leaked: %d", q.PendingOps())
 	}

@@ -156,6 +156,9 @@ type rangeMsg struct {
 	// answers with those (paged by groups when PageSize is set) instead
 	// of shipping rows.
 	Agg *agg.Spec
+	// Subjects, when set, makes the scan semi-join filtered: a serving
+	// peer sends only the entries whose OID the filter may contain.
+	Subjects *SubjectFilter
 	// WinBytes/WinMsgs advertise the ORIGIN's receive window for this
 	// stream (flow.go): a serving peer shrinks its effective page so one
 	// response fits WinBytes, making PageSize a cap rather than a
@@ -169,7 +172,7 @@ type rangeMsg struct {
 }
 
 func (r rangeMsg) WireSize() int {
-	return r.R.Lo.Len()/8 + r.R.Hi.Len()/8 + 44 + aggWireSize(r.Agg) + r.TC.WireSize()
+	return r.R.Lo.Len()/8 + r.R.Hi.Len()/8 + 44 + aggWireSize(r.Agg) + r.Subjects.WireSize() + r.TC.WireSize()
 }
 
 // pageCont is the continuation token of a paged range scan: everything
@@ -205,6 +208,10 @@ type pageCont struct {
 	// partition can serve the next page.
 	Agg      *agg.Spec
 	AggAfter string
+	// Subjects is the semi-join filter of a filtered scan, echoed with
+	// every pull so the server stays stateless: entries whose OID
+	// misses it are skipped, and SkipAtLo counts only entries sent.
+	Subjects *SubjectFilter
 	// Seq numbers the page this continuation pulls within its stream
 	// (the shower's own answer is page 0). A duplicate answer to one
 	// pull — a hedged or resumed pull that the same server also
@@ -223,7 +230,7 @@ type pageCont struct {
 
 func (c pageCont) WireSize() int {
 	return c.R.Lo.Len()/8 + c.R.Hi.Len()/8 + c.Cursor.Len()/8 + c.StreamPath.Len()/8 + 29 +
-		aggWireSize(c.Agg) + len(c.AggAfter)
+		aggWireSize(c.Agg) + len(c.AggAfter) + c.Subjects.WireSize()
 }
 
 // pageReq pulls the next page of a paged range scan, sent directly to

@@ -28,7 +28,8 @@ type OpResult struct {
 type OpOption func(*opSettings)
 
 type opSettings struct {
-	tc trace.Ctx
+	tc       trace.Ctx
+	subjects *SubjectFilter
 }
 
 // WithTrace runs the operation under a trace context (tracing must be
@@ -150,10 +151,7 @@ const opDeadline = 2 * time.Minute
 // names the operation in its trace root span, recorded when an option
 // supplies an active trace context (and Config.Tracing is on).
 func (p *Peer) newOp(needShares int64, needResponses int, opKind uint8, cb func(OpResult), opts ...OpOption) (uint64, *pendingOp) {
-	var st opSettings
-	for _, o := range opts {
-		o(&st)
-	}
+	st := optionSettings(opts)
 	op := &pendingOp{
 		needShares:    needShares,
 		needResponses: needResponses,
@@ -667,13 +665,14 @@ func (p *Peer) MultiLookup(kind triple.IndexKind, ks []keys.Key, cb func(OpResul
 // r, using the shower algorithm. probe=true returns counts only.
 func (p *Peer) RangeQuery(kind triple.IndexKind, r keys.Range, probe bool, cb func(OpResult), opts ...OpOption) *Handle {
 	qid, op := p.newOp(TotalShare, 0, trace.OpRange, cb, opts...)
+	subjects := optionSettings(opts).subjects
 	p.mu.Lock()
-	op.scan = &scanState{kind: uint8(kind), r: r, pageSize: p.cfg.PageSize, probe: probe}
+	op.scan = &scanState{kind: uint8(kind), r: r, pageSize: p.cfg.PageSize, probe: probe, subjects: subjects}
 	p.mu.Unlock()
 	wb, wm := p.advertiseWindow()
 	msg := rangeMsg{QID: qid, Origin: p.id, Kind: uint8(kind), R: r,
 		Level: 0, Share: TotalShare, Probe: probe, PageSize: p.cfg.PageSize,
-		WinBytes: wb, WinMsgs: wm, TC: op.tc}
+		Subjects: subjects, WinBytes: wb, WinMsgs: wm, TC: op.tc}
 	p.armScanRetry(qid)
 	// The origin participates in the shower like any other peer.
 	p.handleRange(msg, 0)
@@ -697,14 +696,15 @@ func (p *Peer) RangeQueryPages(kind triple.IndexKind, r keys.Range, onPage func(
 // instead of buffering whole shards for reversal.
 func (p *Peer) RangeQueryPagesOrdered(kind triple.IndexKind, r keys.Range, desc bool, onPage func([]store.Entry), cb func(OpResult), opts ...OpOption) *Handle {
 	qid, op := p.newOp(TotalShare, 0, trace.OpRange, cb, opts...)
+	subjects := optionSettings(opts).subjects
 	p.mu.Lock()
 	op.onPartial = onPage
-	op.scan = &scanState{kind: uint8(kind), r: r, pageSize: p.cfg.PageSize, desc: desc}
+	op.scan = &scanState{kind: uint8(kind), r: r, pageSize: p.cfg.PageSize, desc: desc, subjects: subjects}
 	p.mu.Unlock()
 	wb, wm := p.advertiseWindow()
 	msg := rangeMsg{QID: qid, Origin: p.id, Kind: uint8(kind), R: r,
 		Level: 0, Share: TotalShare, PageSize: p.cfg.PageSize, Desc: desc,
-		WinBytes: wb, WinMsgs: wm, TC: op.tc}
+		Subjects: subjects, WinBytes: wb, WinMsgs: wm, TC: op.tc}
 	p.armScanRetry(qid)
 	p.handleRange(msg, 0)
 	return &Handle{peer: p, op: op, qid: qid}

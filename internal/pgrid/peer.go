@@ -368,9 +368,12 @@ type scanState struct {
 	desc     bool
 	// agg is the pushed-down aggregation spec; retry showers carry it
 	// so re-showered partitions keep answering in group states.
-	agg     *agg.Spec
-	covered []keys.Key
-	claims  map[string]*scanClaim
+	agg *agg.Spec
+	// subjects is the semi-join filter; retry showers carry it so
+	// re-showered partitions keep sending matching entries only.
+	subjects *SubjectFilter
+	covered  []keys.Key
+	claims   map[string]*scanClaim
 	// cursors memoizes each partition's page progress (the latest
 	// accepted continuation), independent of stream claims: it
 	// survives claim releases and lost resume pulls, so EVERY retry

@@ -518,7 +518,7 @@ func (p *Peer) retryScan(qid uint64) {
 		active = append(active, cu.path)
 	}
 	gaps := uncoveredPrefixes(sc.r, active)
-	kind, pageSize, probe, desc, aggSpec := sc.kind, sc.pageSize, sc.probe, sc.desc, sc.agg
+	kind, pageSize, probe, desc, aggSpec, subjects := sc.kind, sc.pageSize, sc.probe, sc.desc, sc.agg, sc.subjects
 	if len(gaps) == 0 && len(resumes) == 0 {
 		// Covered while the timer was in flight: the completion rule
 		// just changed, so check it here — no further response may.
@@ -548,7 +548,7 @@ func (p *Peer) retryScan(qid uint64) {
 			QID: qid, Origin: p.id, Kind: kind,
 			R: clipRangeToPrefix(r, g), Level: 0, Share: 0,
 			Probe: probe, PageSize: pageSize, Desc: desc, Agg: aggSpec,
-			TC: tc,
+			Subjects: subjects, TC: tc,
 		}, 0)
 	}
 	p.armScanRetry(qid)

@@ -310,7 +310,7 @@ func (p *Peer) serveRange(msg rangeMsg, share int64, ws *trace.WireSpan) {
 		p.servePage(msg.QID, msg.Origin, pageCont{
 			Kind: msg.Kind, R: r, Share: share,
 			PageSize: msg.PageSize, Hops: msg.Hops, Desc: msg.Desc,
-			StreamPath: path,
+			Subjects: msg.Subjects, StreamPath: path,
 		}, msg.WinBytes, ws, msg.TC.TraceID)
 		return
 	}
@@ -321,6 +321,9 @@ func (p *Peer) serveRange(msg rangeMsg, share int64, ws *trace.WireSpan) {
 		scan = p.store.ScanDesc
 	}
 	scan(triple.IndexKind(msg.Kind), r, func(e store.Entry) bool {
+		if !msg.Subjects.Has(e.Triple.OID) {
+			return true
+		}
 		if msg.Probe {
 			resp.Count++
 		} else {
@@ -374,6 +377,9 @@ func (p *Peer) servePage(qid uint64, origin simnet.NodeID, cont pageCont, winByt
 	lastCount := 0 // entries sent at key `last` this page
 	more := false
 	p.store.Scan(triple.IndexKind(cont.Kind), cont.R, func(e store.Entry) bool {
+		if !cont.Subjects.Has(e.Triple.OID) {
+			return true // filtered out: neither sent nor counted by SkipAtLo
+		}
 		if skipLeft > 0 && e.Key.Equal(cont.R.Lo) {
 			skipLeft--
 			return true
@@ -433,6 +439,9 @@ func (p *Peer) servePageDesc(qid uint64, origin simnet.NodeID, cont pageCont, wi
 	lastCount := 0
 	more := false
 	p.store.ScanDesc(triple.IndexKind(cont.Kind), cont.R, func(e store.Entry) bool {
+		if !cont.Subjects.Has(e.Triple.OID) {
+			return true
+		}
 		if cursor.Len() > 0 {
 			if e.Key.Compare(cursor) > 0 {
 				// Applied above the cursor between pulls: already past.

@@ -28,6 +28,9 @@ func samplePayloads() []any {
 	}
 	cont := pageCont{Kind: 1, R: r, SkipAtLo: 2, Share: 1 << 20, PageSize: 3,
 		Hops: 2, Desc: true, Cursor: k, Agg: spec, AggAfter: "g1"}
+	subjects := NewSubjectFilter([]string{"o1", "o2", "o3"})
+	semiCont := pageCont{Kind: 1, R: r, SkipAtLo: 1, Share: 1 << 10, PageSize: 4, Hops: 1,
+		Subjects: subjects, Seq: 2, StreamPath: k}
 	return []any{
 		routeEnvelope{Target: k, Hops: 3, Inner: insertReq{Entry: e, QID: 9, Origin: 4, Seq: 1}},
 		routeEnvelope{Target: k, Hops: 1, Inner: lookupReq{QID: 2, Origin: 0, Kind: 1, Key: k, Agg: spec}},
@@ -51,6 +54,11 @@ func samplePayloads() []any {
 			Entries: []store.Entry{e}, IsReply: true, SplitBit: 1},
 		xferMsg{Entries: []store.Entry{e}},
 		appMsg{Payload: xferMsg{Entries: []store.Entry{e}}, Hops: 2},
+		// Semi-join filtered scans: the subject filter rides the shower
+		// message, the pull and the continuation of a partial page.
+		rangeMsg{QID: 11, Origin: 3, Kind: 1, R: r, Share: 64, PageSize: 4, Subjects: subjects},
+		pageReq{QID: 12, Origin: 3, Cont: semiCont},
+		queryResp{QID: 13, Entries: []store.Entry{e}, Count: 1, From: 2, Path: k, Cont: &semiCont, PageSeq: 1},
 	}
 }
 

@@ -234,7 +234,7 @@ func TestPrefixPushdownCorrectAndCheaper(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt.Optimize(plan)
-	if plan.Steps[0].ValuePrefix == "" {
+	if len(plan.Steps[0].Narrow) == 0 {
 		t.Fatal("pushdown not applied")
 	}
 	tn.net.ResetStats()
@@ -249,7 +249,7 @@ func TestPrefixPushdownCorrectAndCheaper(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt.Optimize(plan2)
-	plan2.Steps[0].ValuePrefix = ""
+	plan2.Steps[0].Narrow = nil
 	tn.net.ResetStats()
 	got2, _ := tn.engines[0].RunPlan(plan2)
 	withoutMsgs := tn.net.Stats().MessagesSent

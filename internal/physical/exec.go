@@ -96,6 +96,12 @@ func (m planMsg) WireSize() int {
 	s := 64
 	for _, st := range m.Steps {
 		s += 48 * (1 + len(st.Fused))
+		for _, r := range st.Narrow {
+			s += r.Lo.Len()/8 + r.Hi.Len()/8 + 1
+		}
+		if st.Semi > 0 {
+			s += 4
+		}
 	}
 	for _, b := range m.Bindings {
 		s += 24 * len(b)

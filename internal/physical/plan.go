@@ -28,6 +28,7 @@ import (
 
 	"unistore/internal/agg"
 	"unistore/internal/algebra"
+	"unistore/internal/keys"
 	"unistore/internal/vql"
 )
 
@@ -107,10 +108,21 @@ type Step struct {
 	// Sims are similarity predicates applicable after this step;
 	// a StratQGram step consumes the one matching its value variable.
 	Sims []SimSpec
-	// ValuePrefix narrows an A#v range scan to values with this string
-	// prefix — the pushed-down form of startswith(?v,'p'), exploiting
-	// the order-preserving hash's native prefix search.
-	ValuePrefix string
+	// Narrow restricts an A#v range scan to these key intervals, in
+	// key order, instead of the attribute's whole region: the
+	// pushed-down form of the step's comparisons and startswith
+	// predicates on its value variable. The order-preserving hash makes
+	// a value interval a key interval (the paper's native range and
+	// prefix search). The filters stay attached and are re-checked.
+	Narrow []keys.Range
+	// Semi > 0 makes an A#v range step whose subject variable is bound
+	// upstream a semi-join filtered scan: the stage waits for its whole
+	// upstream, then carries a Bloom filter of the distinct upstream
+	// subjects to the serving peers, which send only matching entries.
+	// Semi is the attribute's estimated triple count: an upstream with
+	// at least that many distinct subjects filters nothing, so the
+	// stage runs the plain scan instead.
+	Semi int
 	// Ship requests migrating the plan to this step's region before
 	// executing it (mutant behaviour). Set by the optimizer or forced
 	// by experiments.
@@ -158,6 +170,9 @@ func (st Step) String() string {
 	}
 	for _, s := range st.Sims {
 		fmt.Fprintf(&sb, " sim[edist(?%s,'%s')<=%d]", s.Var, s.Target, s.MaxDist)
+	}
+	if st.Semi > 0 {
+		sb.WriteString(" semi")
 	}
 	if st.Ship {
 		sb.WriteString(" ship")
@@ -277,7 +292,7 @@ func FuseSubjects(steps []Step) []Step {
 	out := make([]Step, 0, len(steps))
 	for _, st := range steps {
 		n := len(out)
-		if n == 0 || !fusable(out[n-1], st) {
+		if n == 0 || !Fusable(out[n-1], st) {
 			out = append(out, st)
 			continue
 		}
@@ -301,9 +316,9 @@ func FuseSubjects(steps []Step) []Step {
 	return out
 }
 
-// fusable reports whether b can fold into a: both resolve through the
+// Fusable reports whether b can fold into a: both resolve through the
 // OID index on the same subject term.
-func fusable(a, b Step) bool {
+func Fusable(a, b Step) bool {
 	if a.Strat != StratOIDLookup || b.Strat != StratOIDLookup {
 		return false
 	}

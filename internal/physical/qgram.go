@@ -3,6 +3,7 @@ package physical
 import (
 	"sort"
 
+	"unistore/internal/keys"
 	"unistore/internal/pgrid"
 	"unistore/internal/qgram"
 	"unistore/internal/store"
@@ -56,7 +57,7 @@ func (s *stage) classifyQGram() {
 		// No usable predicate: degrade to the attribute range scan.
 		s.mode = modeScan
 		s.scanKind = triple.ByAV
-		s.scanRange = triple.AVPrefixRange(pat.A.Val.Str)
+		s.scanRanges = []keys.Range{triple.AVPrefixRange(pat.A.Val.Str)}
 		return
 	}
 	grams := qgram.GramSet(sim.Target, qgram.Q)

@@ -8,6 +8,7 @@ package physical
 // under Exec.pmu, the single pipeline lock.
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -170,8 +171,11 @@ type stage struct {
 	probePend []keys.Key
 	capped    bool // AV-range probe set exceeded probeCap; escalated to a scan
 	// Scan configuration (modeScan and escalation).
-	scanKind  triple.IndexKind
-	scanRange keys.Range
+	scanKind   triple.IndexKind
+	scanRanges []keys.Range
+	// subjects is a semi-join stage's Bloom filter over its upstream
+	// subjects (nil: plain scan), built when the scan opens.
+	subjects  *pgrid.SubjectFilter
 	issuedAll bool
 	// Fixed keys (modeFixed).
 	fixedKeys []keys.Key
@@ -252,17 +256,15 @@ func (s *stage) classify() {
 	case StratAVRange:
 		attr := pat.A.Val.Str
 		s.scanKind = triple.ByAV
-		if s.st.ValuePrefix != "" {
-			// Pushed-down startswith: the order-preserving hash makes
-			// the matching values a contiguous key interval.
-			s.scanRange = triple.AVStringPrefixRange(attr, s.st.ValuePrefix)
-		} else {
-			s.scanRange = triple.AVPrefixRange(attr)
+		s.scanRanges = s.st.Narrow
+		if len(s.scanRanges) == 0 {
+			s.scanRanges = []keys.Range{triple.AVPrefixRange(attr)}
 		}
-		if pat.V.IsVar() && s.hasUp && !s.rank {
+		if pat.V.IsVar() && s.hasUp && !s.rank && s.st.Semi == 0 {
 			// A value variable bound upstream turns the scan into
 			// streaming per-value probes (escalating back to the scan
-			// past probeCap).
+			// past probeCap). A semi-join step always scans: the
+			// optimizer marks it only when the value is unbound.
 			s.mode = modeUndecided
 			s.fallback = modeScan
 			s.probeVar = pat.V.Var
@@ -274,14 +276,14 @@ func (s *stage) classify() {
 	case StratBroadcast:
 		s.mode = modeScan
 		s.scanKind = triple.ByOID
-		s.scanRange = keys.Range{}
+		s.scanRanges = []keys.Range{{}}
 	case StratQGram:
 		s.classifyQGram()
 	default:
 		// Unknown strategy: degrade to broadcast, never wrong.
 		s.mode = modeScan
 		s.scanKind = triple.ByOID
-		s.scanRange = keys.Range{}
+		s.scanRanges = []keys.Range{{}}
 	}
 }
 
@@ -308,10 +310,11 @@ func (s *stage) classifyLookup(term vql.Term, kind triple.IndexKind, key func(tr
 
 // barrier reports whether the stage must wait for its complete
 // upstream before doing any right-side work: mutant (ship) steps may
-// migrate the plan away, and an ordered top-k scan must not interleave
-// late upstream rows with released shards.
+// migrate the plan away, an ordered top-k scan must not interleave
+// late upstream rows with released shards, and a semi-join scan
+// filters on every upstream subject.
 func (s *stage) barrier() bool {
-	return (s.st.Ship && s.idx > 0) || s.rank
+	return (s.st.Ship && s.idx > 0) || s.rank || (s.st.Semi > 0 && s.hasUp)
 }
 
 // open activates the right side. For deferred (barrier) stages this
@@ -369,10 +372,7 @@ func (s *stage) openAggScan() {
 		return
 	}
 	s.issuedAll = true
-	shards := []keys.Range{s.scanRange}
-	if n := s.ex.eng.shards(); n > 1 {
-		shards = keys.SplitRange(s.scanRange, n)
-	}
+	shards := s.shardRanges()
 	spec := s.ex.agg.spec
 	for _, r := range shards {
 		r := r
@@ -483,10 +483,8 @@ func (s *stage) openScan() {
 	if s.issuedAll || len(s.shards) > 0 {
 		return
 	}
-	shards := []keys.Range{s.scanRange}
-	if n := s.ex.eng.shards(); n > 1 {
-		shards = keys.SplitRange(s.scanRange, n)
-	}
+	shards := s.shardRanges()
+	s.subjects = s.semiFilter()
 	if s.rank {
 		if s.rankDesc {
 			for i, j := 0, len(shards)-1; i < j; i, j = i+1, j-1 {
@@ -510,9 +508,62 @@ func (s *stage) openScan() {
 		r := r
 		s.submitOp(func(cb func(pgrid.OpResult)) *pgrid.Handle {
 			return s.ex.eng.peer.RangeQueryPages(s.scanKind, r,
-				func(es []store.Entry) { s.ex.opPage(s, -1, es) }, cb, s.topts()...)
+				func(es []store.Entry) { s.ex.opPage(s, -1, es) }, cb, s.scanOpts()...)
 		}, func(res pgrid.OpResult) { s.onEntries(res.Entries) })
 	}
+}
+
+// shardRanges splits the scan's key intervals into the engine's shard
+// count, spread evenly over the intervals and kept in key order.
+func (s *stage) shardRanges() []keys.Range {
+	n := s.ex.eng.shards()
+	if n <= 1 {
+		return slices.Clone(s.scanRanges)
+	}
+	per := max(n/len(s.scanRanges), 1)
+	var out []keys.Range
+	for _, r := range s.scanRanges {
+		out = append(out, keys.SplitRange(r, per)...)
+	}
+	return out
+}
+
+// semiFilter builds a semi-join stage's Bloom filter from its complete
+// upstream: the distinct subjects the upstream rows bind. A subject
+// bound to a number joins no OID and is left out. nil runs the plain
+// scan: the step is no semi-join, a row leaves the subject unbound, or
+// the upstream holds at least Semi distinct subjects.
+func (s *stage) semiFilter() *pgrid.SubjectFilter {
+	if s.st.Semi <= 0 || !s.hasUp || !s.st.Pat.S.IsVar() {
+		return nil
+	}
+	v := s.st.Pat.S.Var
+	seen := map[string]bool{}
+	var oids []string
+	for _, b := range s.join.LeftRows() {
+		val, ok := b[v]
+		if !ok {
+			return nil
+		}
+		if val.Kind != triple.KindString || seen[val.Str] {
+			continue
+		}
+		seen[val.Str] = true
+		oids = append(oids, val.Str)
+		if len(oids) >= s.st.Semi {
+			return nil
+		}
+	}
+	return pgrid.NewSubjectFilter(oids)
+}
+
+// scanOpts are the options of the stage's range scans: its trace
+// context and, for a semi-join scan, the subject filter.
+func (s *stage) scanOpts() []pgrid.OpOption {
+	if s.subjects == nil {
+		return s.topts()
+	}
+	return append(s.topts(), pgrid.WithSubjects(s.subjects))
 }
 
 // issueRank keeps at most rankAhead ordered shards beyond the release
@@ -527,7 +578,7 @@ func (s *stage) issueRank() {
 		r := s.shards[slot]
 		s.submitOp(func(cb func(pgrid.OpResult)) *pgrid.Handle {
 			return s.ex.eng.peer.RangeQueryPagesOrdered(s.scanKind, r, s.rankDesc,
-				func(es []store.Entry) { s.ex.opPage(s, slot, es) }, cb, s.topts()...)
+				func(es []store.Entry) { s.ex.opPage(s, slot, es) }, cb, s.scanOpts()...)
 		}, func(pgrid.OpResult) { s.onRankShard(slot) })
 	}
 }

@@ -61,12 +61,20 @@ func (s *stage) stageSpan(started, now int64) trace.Span {
 }
 
 // label names the stage in its span: index and strategy, plus the
-// pattern count of a fused step ("s1:oid-lookup*2").
+// pattern count of a fused step ("s1:oid-lookup*2") and the pushdowns
+// of a range scan ("s0:av-range[narrow]", "s1:av-range[semi]").
 func (s *stage) label() string {
+	l := fmt.Sprintf("s%d:%s", s.idx, s.st.Strat)
 	if n := len(s.st.Fused); n > 0 {
-		return fmt.Sprintf("s%d:%s*%d", s.idx, s.st.Strat, n+1)
+		l += fmt.Sprintf("*%d", n+1)
 	}
-	return fmt.Sprintf("s%d:%s", s.idx, s.st.Strat)
+	if len(s.st.Narrow) > 0 {
+		l += "[narrow]"
+	}
+	if s.st.Semi > 0 {
+		l += "[semi]"
+	}
+	return l
 }
 
 // collectSpansLocked gathers every span this Exec produced so far: the

@@ -19,6 +19,7 @@ package triple
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -309,6 +310,50 @@ func ValPrefixRange(prefix string) keys.Range {
 // whose string value starts with prefix.
 func AVStringPrefixRange(attr, prefix string) keys.Range {
 	return keys.PrefixRange(composePrefix(regionAV, attrTag(attr), "s"+prefix))
+}
+
+// AVKindRange returns the key range of attr's A#v entries whose values
+// are of one kind: every number (NaN included), or every string.
+func AVKindRange(attr string, kind ValueKind) keys.Range {
+	tag := "s"
+	if kind == KindNumber {
+		tag = "n"
+	}
+	return keys.PrefixRange(composePrefix(regionAV, attrTag(attr), tag))
+}
+
+// AVNumberRange returns the key range of attr's numeric A#v entries
+// with values from lo to hi; an open bound excludes the value itself.
+// ±Inf bounds are ordinary values, so a closed infinite bound includes
+// the infinity (NaN lies outside every such range). -0 and +0 compare
+// equal but encode apart, -0 just below +0, so a bound at zero covers
+// both. ok is false when no number lies between the bounds.
+func AVNumberRange(attr string, lo, hi float64, loOpen, hiOpen bool) (r keys.Range, ok bool) {
+	if !(lo <= hi) || (lo == hi && (loOpen || hiOpen)) {
+		return keys.Range{}, false
+	}
+	negZero := math.Copysign(0, -1)
+	below := func(f float64) keys.Key { // the lowest key equal to f
+		if f == 0 {
+			f = negZero
+		}
+		return AVKey(attr, N(f))
+	}
+	above := func(f float64) keys.Key { // the first key past every key equal to f
+		if f == 0 {
+			f = 0 // +0, the higher zero
+		}
+		k, _ := AVKey(attr, N(f)).Successor()
+		return k
+	}
+	r.Lo, r.Hi, r.HiOpen = below(lo), above(hi), true
+	if loOpen {
+		r.Lo = above(lo)
+	}
+	if hiOpen {
+		r.Hi = below(hi)
+	}
+	return r, true
 }
 
 // --- Distributed q-gram index keys ----------------------------------------

@@ -1,6 +1,7 @@
 package triple
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -334,6 +335,49 @@ func TestTripleSortStable(t *testing.T) {
 	})
 	if ts[0].OID != "a" || ts[0].Attr != "x" {
 		t.Errorf("sort order: %v", ts)
+	}
+}
+
+// TestAVNumberRange checks the numeric intervals a pushed-down
+// comparison scans against every value's key: open and closed bounds,
+// both zeros, the infinities, and the attribute's other value kinds.
+func TestAVNumberRange(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	vals := []Value{N(math.Inf(-1)), N(-5), N(-1), N(negZero), N(0), N(1), N(5), N(30), N(math.Inf(1)),
+		N(math.NaN()), S(""), S("25"), S("abc")}
+	inf := math.Inf(1)
+	for _, tc := range []struct {
+		lo, hi         float64
+		loOpen, hiOpen bool
+	}{
+		{-inf, 30, false, true}, {-inf, 30, false, false}, {30, inf, true, false}, {30, inf, false, false},
+		{0, 0, false, false}, {negZero, negZero, false, false}, {-inf, 0, false, true}, {0, inf, true, false},
+		{-1, 1, true, true}, {-5, 5, false, false}, {inf, inf, false, false}, {-inf, -inf, false, false},
+	} {
+		r, ok := AVNumberRange("age", tc.lo, tc.hi, tc.loOpen, tc.hiOpen)
+		if !ok {
+			t.Errorf("%+v: reported empty", tc)
+			continue
+		}
+		for _, v := range vals {
+			in := v.Kind == KindNumber && (v.Num > tc.lo || (v.Num == tc.lo && !tc.loOpen)) &&
+				(v.Num < tc.hi || (v.Num == tc.hi && !tc.hiOpen))
+			if got := r.Contains(AVKey("age", v)); got != in {
+				t.Errorf("%+v: value %v contained=%v, want %v", tc, v, got, in)
+			}
+		}
+	}
+	for _, tc := range [][2]float64{{5, 1}, {1, 1}} {
+		if _, ok := AVNumberRange("age", tc[0], tc[1], true, false); ok {
+			t.Errorf("%v: empty interval reported non-empty", tc)
+		}
+	}
+	for _, v := range vals {
+		num, str := AVKindRange("age", KindNumber), AVKindRange("age", KindString)
+		k := AVKey("age", v)
+		if num.Contains(k) != (v.Kind == KindNumber) || str.Contains(k) != (v.Kind == KindString) {
+			t.Errorf("value %v in the wrong kind sub-region", v)
+		}
 	}
 }
 

@@ -31,6 +31,8 @@ import (
 // bound-subject star 4 (5 on a cold cache) and the ground-subject star
 // 2, down from 130 and 5 when the star's patterns ran as
 // attribute-region scans and a migrated second OID lookup.
+// Measured on the 64-peer page-16 range-join scenario once range
+// pushdown and the semi-join name scan landed: 74 (180 before).
 const (
 	budgetTopK          = 40
 	budgetIndexJoinWarm = 16
@@ -40,6 +42,7 @@ const (
 	budgetRejoinCatchup = 60
 	budgetLookupJoin    = 7
 	budgetLookupOID     = 3
+	budgetRangeJoin     = 100
 	// budgetFlowInflightBytes bounds the worst per-peer peak of queued
 	// bytes on the slow-replica flow scenario with credit windows on.
 	// Measured at PR 9: 32.8KB controlled (371KB uncontrolled) — a
@@ -124,6 +127,26 @@ func TestMessageBudgetLookupStars(t *testing.T) {
 		}
 		t.Logf("%s star: %d messages (budget %d)", tc.name, msgs, tc.budget)
 	}
+}
+
+// TestMessageBudgetRangeJoin is the range-pushdown budget: the age
+// comparison must narrow its scan, and the name scan must stay a
+// semi-join that ships only the upstream subjects' entries.
+func TestMessageBudgetRangeJoin(t *testing.T) {
+	c := benchscen.RangeJoin()
+	res, err := c.QueryFrom(0, benchscen.RangeJoinQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `av-range(?p,'age',?a) filter[?a<30] → av-range(?p,'name',?n) join[p] semi`
+	if res.Plan != want {
+		t.Errorf("range join plan\n got %s\nwant %s", res.Plan, want)
+	}
+	msgs := measure(t, c, benchscen.RangeJoinQuery)
+	if msgs > budgetRangeJoin {
+		t.Errorf("range join sent %d messages, budget %d", msgs, budgetRangeJoin)
+	}
+	t.Logf("range join: %d messages (budget %d)", msgs, budgetRangeJoin)
 }
 
 func TestMessageBudgetPagedScan(t *testing.T) {
