@@ -6,7 +6,7 @@ GO ?= go
 .PHONY: all build vet fmt fmt-check test race bench docs ci \
 	lint integration integration-race fuzz-smoke obs-smoke \
 	bench-scale bench-scale-smoke bench-durability bench-flow \
-	perfbench-test
+	perfbench-test linedelta
 
 all: build test
 
@@ -85,6 +85,13 @@ bench-flow:
 # determinism self-test.
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Lines added, removed and net for non-test Go, Go tests and docs
+# between BASE (any git ref) and the work tree, untracked files
+# included — the net line delta every change states.
+linedelta:
+	@test -n "$(BASE)" || { echo "usage: make linedelta BASE=<ref>"; exit 2; }
+	@./scripts/linedelta.sh $(BASE)
 
 # The docs job: broken intra-repo markdown links fail, sources stay
 # vetted and formatted.

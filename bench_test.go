@@ -16,7 +16,6 @@ import (
 	"unistore/internal/benchscen"
 	"unistore/internal/experiments"
 	"unistore/internal/pgrid"
-	"unistore/internal/trace"
 	"unistore/internal/workload"
 )
 
@@ -24,7 +23,7 @@ import (
 const benchScale = experiments.Scale(0.25)
 
 // cell parses a numeric table cell.
-func cell(tb *trace.Series, row, col int) float64 {
+func cell(tb *experiments.Series, row, col int) float64 {
 	r := tb.Rows()
 	if row < 0 {
 		row = len(r) + row

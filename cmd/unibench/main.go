@@ -18,16 +18,15 @@ import (
 	"time"
 
 	"unistore/internal/experiments"
-	"unistore/internal/trace"
 )
 
 var registry = []struct {
 	id   string
 	desc string
-	run  func(experiments.Scale) *trace.Series
+	run  func(experiments.Scale) *experiments.Series
 }{
 	{"E1", "Fig. 2: triple placement (18 entries on 8 peers)",
-		func(experiments.Scale) *trace.Series { return experiments.E1TriplePlacement() }},
+		func(experiments.Scale) *experiments.Series { return experiments.E1TriplePlacement() }},
 	{"E2", "logarithmic routing hops vs. network size", experiments.E2RoutingHops},
 	{"E3", "query latency under PlanetLab delays (≤400 peers)", experiments.E3QueryLatency},
 	{"E4", "identical query under forced plan variants", experiments.E4PlanVariants},

@@ -194,7 +194,7 @@ func ChurnTopKRun(c *core.Cluster) (ChurnResult, error) {
 func ChurnRun(c *core.Cluster, plan *physical.Plan) (ChurnResult, error) {
 	net := c.Net()
 	before := net.Stats()
-	ex := c.Engine(0).Start(plan, nil)
+	ex := c.Engine(0).Start(plan)
 	// The first-hop branch envelopes are now queued; kill their targets.
 	want := int(float64(c.Size()) * ChurnDeadFraction)
 	origin := c.Peers()[0].ID()

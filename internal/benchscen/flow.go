@@ -173,7 +173,7 @@ func FlowRun(controlled bool) (FlowVariant, error) {
 		return res, fmt.Errorf("benchscen: flow plan: %w", err)
 	}
 	for r := 0; r < FlowRounds; r++ {
-		ex := c.Engine(0).Start(plan, nil)
+		ex := c.Engine(0).Start(plan)
 		batch := workload.Generate(workload.Options{
 			Seed: int64(45 + r), Persons: FlowRoundPersons})
 		c.BulkInsertAcked(batch.Triples...)

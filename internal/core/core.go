@@ -3,21 +3,18 @@
 // (pgrid), the per-peer storage service (store), the VQL analyzer
 // (vql + algebra), the query executor with mutant plans (physical), the
 // cost-based adaptive optimizer (optimizer), and schema mappings
-// (schema). A Cluster is a whole universal storage — the unit the
-// examples, tools and experiments drive.
+// (schema). One query front end (front.go) runs over any transport: a
+// Cluster is a whole universal storage on the simulator — the unit the
+// examples, tools and experiments drive — and a Node is one process's
+// share of a multi-process cluster over TCP (node.go).
 package core
 
 import (
-	"context"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"unistore/internal/algebra"
-	"unistore/internal/cost"
 	"unistore/internal/keys"
 	"unistore/internal/optimizer"
 	"unistore/internal/pgrid"
@@ -26,7 +23,6 @@ import (
 	"unistore/internal/simnet"
 	"unistore/internal/trace"
 	"unistore/internal/triple"
-	"unistore/internal/vql"
 )
 
 // LatencyProfile selects the simulated network's delay model.
@@ -72,8 +68,6 @@ type Config struct {
 	EnableQGram bool
 	// Optimizer tunes plan selection; zero value = DefaultOptions.
 	Optimizer optimizer.Options
-	// DisableOptimizer executes plans exactly as compiled.
-	DisableOptimizer bool
 	// AntiEntropyInterval is the period of digest-based replica
 	// reconciliation: replicas exchange per-prefix version summaries
 	// and pull only the differing buckets, in PageSize-bounded pages.
@@ -161,54 +155,20 @@ func (c Config) withDefaults() Config {
 	if c.Optimizer == (optimizer.Options{}) {
 		c.Optimizer = optimizer.DefaultOptions()
 	}
-	if c.DisableOptimizer {
-		c.Optimizer.Disabled = true
-	}
 	return c
 }
 
-// Cluster is a running universal storage: the simulated network, the
-// overlay peers, and a query engine per peer. With Config.Concurrent
-// set, Insert/Query may be called from multiple goroutines; call Close
-// when done to stop the network goroutines.
+// Cluster is a running universal storage over the simulated network:
+// every overlay peer with a query engine each, behind the front end
+// Node shares, plus the simnet ingest helpers and churn drivers. With
+// Config.Concurrent set, Insert/Query may be called from multiple
+// goroutines; call Close when done to stop the network goroutines.
 type Cluster struct {
-	cfg     Config
-	pcfg    pgrid.Config
-	net     *simnet.Network
-	peers   []*pgrid.Peer
-	engines []*physical.Engine
-	opt     *optimizer.Optimizer
-	stats   *cost.Stats
-	// statsMu guards the optimizer statistics: ingest paths write them
-	// and query optimization (including per-host re-optimization of
-	// migrated plans) reads them, possibly from many goroutines in
-	// concurrent mode.
-	statsMu sync.RWMutex
-	clock   atomic.Uint64
-	// rates memoizes the O(peers) routing-cache counter aggregation so
-	// repeated compilations at large N don't rescan every peer; entries
-	// expire after rateWindow of simulated time.
-	ratesMu   sync.Mutex
-	ratesOK   bool
-	ratesAt   time.Duration
-	hitRate   float64
-	retryRate float64
-	probeRTT  time.Duration
-	pressure  float64
-	// reg is the cluster's unified metrics registry: peer and network
-	// counters surface there under stable dotted names at snapshot time.
-	reg *trace.Registry
-}
-
-// lockedReopt adapts the optimizer's Rechoose to the cluster's stats
-// lock: hosted-plan re-optimization runs on network worker goroutines
-// and must not race with concurrent ingest updating the statistics.
-type lockedReopt struct{ c *Cluster }
-
-func (l lockedReopt) Rechoose(steps []physical.Step, tail physical.Tail, bindingCount int, peer *pgrid.Peer) []physical.Step {
-	l.c.statsMu.RLock()
-	defer l.c.statsMu.RUnlock()
-	return l.c.opt.Rechoose(steps, tail, bindingCount, peer)
+	front
+	cfg   Config
+	pcfg  pgrid.Config
+	net   *simnet.Network
+	clock atomic.Uint64
 }
 
 // NewCluster builds and wires a cluster.
@@ -249,15 +209,10 @@ func NewCluster(cfg Config) *Cluster {
 			panic(err)
 		}
 	}
-	stats := cost.DefaultStats(cfg.Peers)
-	stats.Replicas = cfg.Replicas
-	stats.TotalTriples = 0
-	stats.PageSize = cfg.PageSize
-	stats.ReadReplicas = effectiveReadReplicas(cfg)
-	opt := optimizer.New(stats, cfg.Optimizer)
-	c := &Cluster{cfg: cfg, pcfg: pcfg, net: net, peers: peers, opt: opt, stats: stats}
-	c.reg = trace.NewRegistry()
-	registerPeerMetrics(c.reg, func() []*pgrid.Peer { return c.peers })
+	c := &Cluster{cfg: cfg, pcfg: pcfg, net: net}
+	c.parallelism, c.shards = cfg.ProbeParallelism, cfg.RangeShards
+	c.origin = func() int { return int(net.Int63()) % len(c.peers) }
+	c.init(peers, cfg.Peers, cfg.Replicas, cfg.ReadReplicas, cfg.PageSize, cfg.Optimizer)
 	c.reg.OnCollect(func(r *trace.Registry) {
 		st := c.net.Stats()
 		setCounter(r, "net.messages_sent", int64(st.MessagesSent))
@@ -265,12 +220,6 @@ func NewCluster(cfg Config) *Cluster {
 		setCounter(r, "net.messages_dropped", int64(st.MessagesDropped))
 		setCounter(r, "net.bytes_sent", int64(st.BytesSent))
 	})
-	for _, p := range peers {
-		eng := physical.NewEngine(p, lockedReopt{c})
-		eng.SetParallelism(cfg.ProbeParallelism)
-		eng.SetRangeShards(cfg.RangeShards)
-		c.engines = append(c.engines, eng)
-	}
 	if cfg.Concurrent {
 		net.StartConcurrent(cfg.TimeDilation)
 	}
@@ -281,25 +230,8 @@ func NewCluster(cfg Config) *Cluster {
 // deterministic mode). The cluster must not be used afterwards.
 func (c *Cluster) Close() { c.net.Stop() }
 
-// Engine exposes the query engine attached to one peer (benchmarks and
-// tests tune fan-out windows through it).
-func (c *Cluster) Engine(peerIdx int) *physical.Engine {
-	return c.engines[peerIdx%len(c.engines)]
-}
-
 // Net exposes the simulated network (experiment instrumentation).
 func (c *Cluster) Net() *simnet.Network { return c.net }
-
-// Peers returns the overlay peers.
-func (c *Cluster) Peers() []*pgrid.Peer { return c.peers }
-
-// Stats returns the optimizer's statistics snapshot.
-func (c *Cluster) Stats() *cost.Stats { return c.stats }
-
-// Registry returns the cluster's unified metrics registry. Snapshot it
-// for point-in-time values, or take before/after Snapshot.Sub deltas
-// around a query for per-query attribution.
-func (c *Cluster) Registry() *trace.Registry { return c.reg }
 
 // Size returns the number of peers.
 func (c *Cluster) Size() int { return len(c.peers) }
@@ -313,7 +245,7 @@ func (c *Cluster) nextVersion() uint64 { return c.clock.Add(1) }
 // (all index entries and replicas placed). Statistics update so the
 // optimizer sees real attribute cardinalities.
 func (c *Cluster) Insert(ts ...triple.Triple) {
-	c.InsertFrom(int(c.net.Int63())%len(c.peers), ts...)
+	c.InsertFrom(c.pick(), ts...)
 }
 
 // InsertFrom stores triples entering the system at a specific peer.
@@ -321,24 +253,10 @@ func (c *Cluster) InsertFrom(peerIdx int, ts ...triple.Triple) {
 	p := c.peers[peerIdx%len(c.peers)]
 	v := c.nextVersion()
 	for _, tr := range ts {
-		p.InsertTriple(tr, v)
-		if c.cfg.EnableQGram {
-			physical.InsertGrams(p, tr, v)
-		}
+		c.insertAt(p, tr, v)
 	}
-	c.noteInserted(ts)
+	c.noteInserted(ts...)
 	c.net.Settle()
-}
-
-// noteInserted updates the optimizer statistics for freshly ingested
-// triples; the stats lock orders it against concurrent optimization.
-func (c *Cluster) noteInserted(ts []triple.Triple) {
-	c.statsMu.Lock()
-	for _, tr := range ts {
-		c.stats.TriplesPerAttr[tr.Attr]++
-	}
-	c.stats.TotalTriples += len(ts)
-	c.statsMu.Unlock()
 }
 
 // bulkLoaders bounds the goroutines a concurrent-mode BulkInsert uses.
@@ -357,42 +275,31 @@ func (c *Cluster) BulkInsert(ts ...triple.Triple) {
 		return
 	}
 	v := c.nextVersion()
-	c.noteInserted(ts)
-	loaders := len(c.peers)
-	if loaders > bulkLoaders {
-		loaders = bulkLoaders
-	}
+	c.noteInserted(ts...)
+	loaders := min(len(c.peers), bulkLoaders)
 	if !c.net.Concurrent() || loaders <= 1 {
 		// Deterministic mode: issue everything fire-and-forget from
 		// round-robin origins, then drain the network once.
 		for i, tr := range ts {
 			c.insertAt(c.peers[i%len(c.peers)], tr, v)
 		}
-		c.net.Settle()
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (len(ts) + loaders - 1) / loaders
-	for w := 0; w < loaders; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(ts) {
-			hi = len(ts)
+	} else {
+		var wg sync.WaitGroup
+		chunk := (len(ts) + loaders - 1) / loaders
+		for w := 0; w*chunk < len(ts); w++ {
+			part := ts[w*chunk : min((w+1)*chunk, len(ts))]
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p := c.peers[w%len(c.peers)]
+				for _, tr := range part {
+					c.insertAt(p, tr, v)
+				}
+			}()
 		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w int, part []triple.Triple) {
-			defer wg.Done()
-			p := c.peers[w%len(c.peers)]
-			for _, tr := range part {
-				c.insertAt(p, tr, v)
-			}
-		}(w, ts[lo:hi])
+		wg.Wait()
 	}
-	wg.Wait()
-	c.net.Quiesce()
+	c.net.Settle()
 }
 
 // BulkInsertAcked loads triples through the acked, replica-aware write
@@ -417,7 +324,7 @@ func (c *Cluster) BulkInsertAcked(ts ...triple.Triple) {
 		return
 	}
 	v := c.nextVersion()
-	c.noteInserted(ts)
+	c.noteInserted(ts...)
 	for i, tr := range ts {
 		p := live[i%len(live)]
 		p.InsertTripleAcked(tr, v, nil)
@@ -425,7 +332,7 @@ func (c *Cluster) BulkInsertAcked(ts ...triple.Triple) {
 			physical.InsertGrams(p, tr, v)
 		}
 	}
-	c.settle()
+	c.net.Settle()
 }
 
 // BulkInsertTuples decomposes and bulk-loads logical tuples.
@@ -453,14 +360,14 @@ func (c *Cluster) InsertTuple(tp *triple.Tuple) {
 // Update overwrites fact (oid, attr) with a new value at a fresh
 // version; replicas converge by gossip/anti-entropy.
 func (c *Cluster) Update(tr triple.Triple) {
-	p := c.peers[int(c.net.Int63())%len(c.peers)]
+	p := c.peers[c.pick()]
 	c.insertAt(p, tr, c.nextVersion())
 	c.net.Settle()
 }
 
 // Delete tombstones fact (oid, attr).
 func (c *Cluster) Delete(oid, attr string) {
-	p := c.peers[int(c.net.Int63())%len(c.peers)]
+	p := c.peers[c.pick()]
 	p.DeleteTriple(oid, attr, c.nextVersion())
 	c.net.Settle()
 }
@@ -470,417 +377,9 @@ func (c *Cluster) AddMapping(m schema.Mapping) {
 	c.Insert(m.Triples(triple.GenerateOID("map"))...)
 }
 
-// --- Querying ----------------------------------------------------------------
-
-// Result is a completed query: bindings plus execution metrics.
-type Result struct {
-	Bindings []algebra.Binding
-	Vars     []string
-	Elapsed  time.Duration // simulated time
-	// TimeToFirst is the simulated time until the first result row was
-	// available from the streaming pipeline (equal to Elapsed for
-	// blocking tails such as skyline and full sorts).
-	TimeToFirst time.Duration
-	// Messages is the network-wide message traffic attributed to this
-	// query. It is measured as a counter delta, which is only
-	// meaningful when queries run one at a time — in concurrent mode
-	// (overlapping queries, background timers) it reports 0.
-	Messages int
-	Hops     int
-	Plan     string
-	// Trace is the assembled end-to-end trace of this query — the
-	// synthetic query root, one span per pipeline stage, and every
-	// overlay span the traced operations produced (including spans
-	// shipped home by migrated plan remainders). Nil unless the cluster
-	// was built with Config.Tracing.
-	Trace *trace.QueryTrace
-}
-
-// Rows renders the bindings as string rows following Vars order — the
-// demo UI's result tab.
-func (r *Result) Rows() [][]string {
-	rows := make([][]string, 0, len(r.Bindings))
-	for _, b := range r.Bindings {
-		row := make([]string, len(r.Vars))
-		for i, v := range r.Vars {
-			if val, ok := b[v]; ok {
-				row[i] = val.String()
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-// Query parses and executes VQL from a random peer.
-func (c *Cluster) Query(src string) (*Result, error) {
-	return c.QueryFrom(int(c.net.Int63())%len(c.peers), src)
-}
-
-// QueryFrom executes VQL originating at a specific peer.
-func (c *Cluster) QueryFrom(peerIdx int, src string) (*Result, error) {
-	return c.QueryFromCtx(context.Background(), peerIdx, src)
-}
-
-// QueryCtx executes VQL from a random peer under a cancellation
-// context: canceling ctx terminates the query early — unissued probes
-// and shards are never sent, pending overlay operations are released —
-// and returns the rows produced so far.
-func (c *Cluster) QueryCtx(ctx context.Context, src string) (*Result, error) {
-	return c.QueryFromCtx(ctx, int(c.net.Int63())%len(c.peers), src)
-}
-
-// QueryFromCtx is QueryCtx originating at a specific peer.
-func (c *Cluster) QueryFromCtx(ctx context.Context, peerIdx int, src string) (*Result, error) {
-	q, err := vql.ParseQuery(src)
-	if err != nil {
-		return nil, err
-	}
-	return c.execQueryCtx(ctx, peerIdx, q)
-}
-
-func (c *Cluster) execQuery(peerIdx int, q *vql.Query) (*Result, error) {
-	return c.execQueryCtx(context.Background(), peerIdx, q)
-}
-
-func (c *Cluster) execQueryCtx(ctx context.Context, peerIdx int, q *vql.Query) (*Result, error) {
-	plan, err := c.compile(q)
-	if err != nil {
-		return nil, err
-	}
-	eng := c.engines[peerIdx%len(c.engines)]
-	concurrent := c.net.Concurrent()
-	before := 0
-	if !concurrent {
-		before = c.net.Stats().MessagesSent
-	}
-	bs, ex := eng.RunPlanCtx(ctx, plan)
-	res := &Result{
-		Bindings:    bs,
-		Vars:        resultVars(q),
-		Elapsed:     ex.Elapsed(),
-		TimeToFirst: ex.TimeToFirst(),
-		Hops:        ex.MaxHops(),
-		Plan:        plan.String(),
-		Trace:       ex.Trace(),
-	}
-	if !concurrent {
-		res.Messages = c.net.Stats().MessagesSent - before
-	}
-	return res, nil
-}
-
-// effectiveReadReplicas is the replica count the read path can
-// actually spread over: the configured bound clipped to the replica
-// group size.
-func effectiveReadReplicas(cfg Config) int {
-	r := cfg.Replicas
-	if cfg.ReadReplicas > 0 && cfg.ReadReplicas < r {
-		r = cfg.ReadReplicas
-	}
-	if r < 1 {
-		r = 1
-	}
-	return r
-}
-
-// compile parses nothing — it lowers and cost-optimizes a parsed query
-// under the statistics lock, after refreshing the observed routing-
-// cache hit rate and probe-retry rate so probe pricing tracks how warm
-// the caches really are and how churned the overlay is.
-func (c *Cluster) compile(q *vql.Query) (*physical.Plan, error) {
-	plan, err := physical.CompileQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	rate, retries, rtt, pressure := c.routeCacheRates()
-	// Store the refreshed rates under the brief write lock, then
-	// optimize under the read lock so concurrent compilations still
-	// run in parallel.
-	c.statsMu.Lock()
-	c.stats.CacheHitRate = rate
-	c.stats.RetryRate = retries
-	c.stats.ProbeRTT = rtt
-	c.stats.Pressure = pressure
-	c.statsMu.Unlock()
-	c.statsMu.RLock()
-	c.opt.Optimize(plan)
-	c.statsMu.RUnlock()
-	return plan, nil
-}
-
-// routeCacheRates aggregates the peers' routing-cache counters into
-// the fraction of probes that went direct (the cost model's
-// CacheHitRate input), the fraction of direct probe GROUPS that had
-// to be hedged or retried (its RetryRate input — groups over groups,
-// so batching many keys into one group cannot dilute the rate), and
-// the mean of the cached per-replica latency EWMAs (its ProbeRTT
-// input — direct probes priced at the round trips the replica
-// choosers actually observed).
-// rateWindow is how long (simulated time) a memoized rate snapshot
-// stays fresh. Short enough that a warmup phase followed by a measured
-// query recomputes, long enough that back-to-back compilations at
-// 1024 peers pay the full-peer scan once.
-const rateWindow = 5 * time.Millisecond
-
-func (c *Cluster) routeCacheRates() (hitRate, retryRate float64, probeRTT time.Duration, pressure float64) {
-	now := c.net.Now()
-	c.ratesMu.Lock()
-	if c.ratesOK && now >= c.ratesAt && now-c.ratesAt < rateWindow {
-		hitRate, retryRate, probeRTT, pressure = c.hitRate, c.retryRate, c.probeRTT, c.pressure
-		c.ratesMu.Unlock()
-		return
-	}
-	c.ratesMu.Unlock()
-	hitRate, retryRate, probeRTT, pressure = c.scanCacheRates()
-	c.ratesMu.Lock()
-	c.ratesOK, c.ratesAt = true, now
-	c.hitRate, c.retryRate, c.probeRTT, c.pressure = hitRate, retryRate, probeRTT, pressure
-	c.ratesMu.Unlock()
-	return
-}
-
-// scanCacheRates does the actual O(peers) counter aggregation.
-func (c *Cluster) scanCacheRates() (hitRate, retryRate float64, probeRTT time.Duration, pressure float64) {
-	hits, misses, groups, retries := 0, 0, 0, 0
-	bulkSends, stalls := 0, 0
-	var rttSum time.Duration
-	rttN := 0
-	for _, p := range c.peers {
-		st := p.Stats()
-		hits += st.RouteCacheHits
-		misses += st.RouteCacheMisses
-		groups += st.ProbeGroups
-		retries += st.ProbeRetries
-		bulkSends += st.FlowBulkSends
-		stalls += st.FlowStalls
-		sum, n := p.RouteCacheLatency()
-		rttSum += sum
-		rttN += n
-	}
-	if hits+misses > 0 {
-		hitRate = float64(hits) / float64(hits+misses)
-	}
-	if groups > 0 {
-		retryRate = float64(retries) / float64(groups)
-		if retryRate > 1 {
-			retryRate = 1
-		}
-	}
-	if rttN > 0 {
-		probeRTT = rttSum / time.Duration(rttN)
-	}
-	if bulkSends > 0 {
-		pressure = float64(stalls) / float64(bulkSends)
-		if pressure > 1 {
-			pressure = 1
-		}
-	}
-	return hitRate, retryRate, probeRTT, pressure
-}
-
-// Stream is an open streaming query: rows arrive through Next as the
-// distributed pipeline produces them, before the query has finished —
-// the time-to-first-result interface. Close abandons the remainder.
-type Stream struct {
-	// Vars lists the result variables in projection order.
-	Vars []string
-	cur  *physical.Cursor
-	plan string
-}
-
-// QueryStream opens a VQL query from a random peer and returns a pull
-// cursor over its result stream. The caller must exhaust or Close it.
-func (c *Cluster) QueryStream(ctx context.Context, src string) (*Stream, error) {
-	return c.QueryStreamFrom(ctx, int(c.net.Int63())%len(c.peers), src)
-}
-
-// QueryStreamFrom is QueryStream originating at a specific peer.
-func (c *Cluster) QueryStreamFrom(ctx context.Context, peerIdx int, src string) (*Stream, error) {
-	q, err := vql.ParseQuery(src)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := c.compile(q)
-	if err != nil {
-		return nil, err
-	}
-	eng := c.engines[peerIdx%len(c.engines)]
-	return &Stream{
-		Vars: resultVars(q),
-		cur:  eng.Open(ctx, plan),
-		plan: plan.String(),
-	}, nil
-}
-
-// Next returns the next result row; ok is false at end of stream. In
-// deterministic mode it drives the simulated network; in concurrent
-// mode it blocks until the pipeline emits.
-func (s *Stream) Next() (algebra.Binding, bool) { return s.cur.Next() }
-
-// Close terminates the query early, canceling its remaining overlay
-// operations. Safe after exhaustion.
-func (s *Stream) Close() { s.cur.Close() }
-
-// Plan renders the executed physical plan.
-func (s *Stream) Plan() string { return s.plan }
-
-// TimeToFirst reports the simulated time until the first row was
-// available (valid once at least one row arrived or the stream ended).
-func (s *Stream) TimeToFirst() time.Duration { return s.cur.Exec().TimeToFirst() }
-
-// Elapsed reports the query's total simulated time (valid once the
-// stream ended).
-func (s *Stream) Elapsed() time.Duration { return s.cur.Exec().Elapsed() }
-
-// QueryWithMappings answers a query over heterogeneous schemas: it
-// first retrieves all correspondence triples from the overlay, then
-// executes every rewriting of the query and unites the results — the
-// paper's "automatically by the system" path.
-func (c *Cluster) QueryWithMappings(src string) (*Result, error) {
-	q, err := vql.ParseQuery(src)
-	if err != nil {
-		return nil, err
-	}
-	peerIdx := int(c.net.Int63()) % len(c.peers)
-	mapRes, err := c.execQuery(peerIdx, schema.MappingQuery())
-	if err != nil {
-		return nil, err
-	}
-	var mappings []schema.Mapping
-	for _, b := range mapRes.Bindings {
-		mappings = append(mappings, schema.Mapping{
-			From: b["f"].Str, To: b["t"].Str,
-		})
-	}
-	closure := schema.NewClosure(mappings)
-	// Ranking, aggregation, ordering, limiting and projection must
-	// apply to the UNION of the variants' bindings, not per variant (a
-	// union of skylines is not the skyline of the union, and a union of
-	// group counts is not the count of the union) — so the variants run
-	// without the tail clauses, which are applied afterwards.
-	tail := physical.Tail{
-		Skyline: q.Skyline,
-		OrderBy: q.OrderBy,
-		TopN:    q.Top,
-		Limit:   q.Limit,
-		Project: q.Select,
-	}
-	if aggNode, outs, err := algebra.AggregateClauses(q); err != nil {
-		return nil, err
-	} else if aggNode != nil {
-		tail.GroupBy = aggNode.GroupBy
-		tail.Aggs = aggNode.Items
-		tail.Having = aggNode.Having
-		if len(q.Select) > 0 || len(q.Aggs) > 0 {
-			tail.Project = append(append([]string{}, q.Select...), outs...)
-		}
-	}
-	stripped := *q
-	stripped.Skyline = nil
-	stripped.OrderBy = nil
-	stripped.Limit = 0
-	stripped.Top = false
-	stripped.Select = nil
-	stripped.Aggs = nil
-	stripped.GroupBy = nil
-	stripped.Having = nil
-	stripped.Distinct = false
-	variants := schema.Rewrite(&stripped, closure)
-	union := &Result{Vars: resultVars(q)}
-	seen := map[string]bool{}
-	for _, v := range variants {
-		r, err := c.execQuery(peerIdx, v)
-		if err != nil {
-			return nil, err
-		}
-		union.Messages += r.Messages
-		if r.Elapsed > union.Elapsed {
-			union.Elapsed = r.Elapsed
-		}
-		for _, b := range r.Bindings {
-			k := bindingKey(b)
-			if !seen[k] {
-				seen[k] = true
-				union.Bindings = append(union.Bindings, b)
-			}
-		}
-	}
-	union.Messages += mapRes.Messages
-	union.Bindings = tail.Apply(union.Bindings)
-	return union, nil
-}
-
-func bindingKey(b algebra.Binding) string {
-	var vars []string
-	for k := range b {
-		vars = append(vars, k)
-	}
-	sort.Strings(vars)
-	var sb strings.Builder
-	for _, v := range vars {
-		sb.WriteString(v + "=" + b[v].Lexical() + ";")
-	}
-	return sb.String()
-}
-
-func resultVars(q *vql.Query) []string {
-	if len(q.Select) > 0 || len(q.Aggs) > 0 {
-		out := append([]string{}, q.Select...)
-		for _, a := range q.Aggs {
-			out = append(out, a.As)
-		}
-		return out
-	}
-	return q.Vars()
-}
-
-// --- Introspection (the demo UI's inspection tabs) ---------------------------
-
-// LocalData returns the triples stored at one peer — "inspect the
-// local data".
-func (c *Cluster) LocalData(peerIdx int) []triple.Triple {
-	return c.peers[peerIdx%len(c.peers)].Store().All()
-}
-
-// RoutingTable renders one peer's routing table — "inspect the locally
-// built routing tables".
-func (c *Cluster) RoutingTable(peerIdx int) string {
-	p := c.peers[peerIdx%len(c.peers)]
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "peer %d path=%s replicas=%d\n", p.ID(), p.Path(), len(p.Replicas()))
-	for l := 0; l < p.Levels(); l++ {
-		fmt.Fprintf(&sb, "  level %d:", l)
-		for _, r := range p.Refs(l) {
-			fmt.Fprintf(&sb, " %d(%s)", r.ID, r.Path)
-		}
-		sb.WriteString("\n")
-	}
-	return sb.String()
-}
-
-// StorageLoad returns per-peer live entry counts — the load-balancing
-// measurements.
-func (c *Cluster) StorageLoad() []int {
-	out := make([]int, len(c.peers))
-	for i, p := range c.peers {
-		out[i] = p.Store().Len()
-	}
-	return out
-}
-
 // Kill and Revive drive churn experiments.
 func (c *Cluster) Kill(peerIdx int)   { c.net.Kill(c.peers[peerIdx%len(c.peers)].ID()) }
 func (c *Cluster) Revive(peerIdx int) { c.net.Revive(c.peers[peerIdx%len(c.peers)].ID()) }
-
-// settle drains the network in whichever mode it runs.
-func (c *Cluster) settle() {
-	if c.net.Concurrent() {
-		c.net.Quiesce()
-	} else {
-		c.net.Settle()
-	}
-}
 
 // samePathGroup returns every live peer sharing peers[idx]'s partition
 // path — the replica group the membership operations act on.
@@ -905,13 +404,8 @@ func (c *Cluster) JoinPeer(targetIdx int) int {
 	target := c.peers[targetIdx%len(c.peers)]
 	p := pgrid.NewPeer(c.net, c.pcfg)
 	p.Join(target.ID())
-	c.settle()
-	eng := physical.NewEngine(p, lockedReopt{c})
-	eng.SetParallelism(c.cfg.ProbeParallelism)
-	eng.SetRangeShards(c.cfg.RangeShards)
-	c.peers = append(c.peers, p)
-	c.engines = append(c.engines, eng)
-	return len(c.peers) - 1
+	c.net.Settle()
+	return c.addPeer(p)
 }
 
 // RejoinPeer boots a replacement peer into the running cluster via the
@@ -930,13 +424,8 @@ func (c *Cluster) RejoinPeer(targetIdx int, prepare func(*pgrid.Peer) error) (in
 		}
 	}
 	p.Rejoin(target.ID())
-	c.settle()
-	eng := physical.NewEngine(p, lockedReopt{c})
-	eng.SetParallelism(c.cfg.ProbeParallelism)
-	eng.SetRangeShards(c.cfg.RangeShards)
-	c.peers = append(c.peers, p)
-	c.engines = append(c.engines, eng)
-	return len(c.peers) - 1, nil
+	c.net.Settle()
+	return c.addPeer(p), nil
 }
 
 // SplitGroup performs a live P-Grid split of peers[peerIdx]'s replica
@@ -950,7 +439,7 @@ func (c *Cluster) SplitGroup(peerIdx int) error {
 	if err := pgrid.SplitGroup(c.samePathGroup(peerIdx)); err != nil {
 		return err
 	}
-	c.settle()
+	c.net.Settle()
 	return nil
 }
 
@@ -980,13 +469,13 @@ func (c *Cluster) MergeGroup(peerIdx int) error {
 	// leavers' entries when routing starts sending it the merged
 	// partition's queries.
 	pgrid.TransferStores(leavers, sibs[0])
-	c.settle()
+	c.net.Settle()
 	if err := pgrid.WidenGroup(sibs); err != nil {
 		return err
 	}
 	for _, p := range leavers {
 		c.net.Kill(p.ID())
 	}
-	c.settle()
+	c.net.Settle()
 	return nil
 }

@@ -3,9 +3,9 @@ package core
 // Unified metrics plumbing. Peers, the network and the WAL each keep
 // their own counters; the registry mirrors them under stable dotted
 // names at snapshot time via OnCollect collectors, so the hot paths
-// never touch the registry. Cluster (simnet) and Node (real TCP)
-// register the same peer collector — /metrics looks identical in both
-// worlds.
+// never touch the registry. The front end Cluster (simnet) and Node
+// (real TCP) share registers the peer collector — /metrics looks
+// identical in both worlds.
 
 import (
 	"unistore/internal/pgrid"

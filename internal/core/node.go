@@ -1,23 +1,18 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"unistore/internal/cost"
 	"unistore/internal/netx"
 	"unistore/internal/optimizer"
 	"unistore/internal/pgrid"
-	"unistore/internal/physical"
 	"unistore/internal/store"
 	"unistore/internal/store/wal"
 	"unistore/internal/trace"
 	"unistore/internal/triple"
-	"unistore/internal/vql"
 )
 
 // NodeConfig parameterizes one process of a multi-process cluster. The
@@ -95,33 +90,16 @@ func (c NodeConfig) withDefaults() (NodeConfig, error) {
 const versionProcBits = 10
 
 // Node is one process's share of a multi-process UniStore cluster: a
-// netx transport, the overlay peers this process hosts, and a query
-// engine per peer. It is the daemon-side counterpart of Cluster.
+// netx transport and the overlay peers this process hosts, behind the
+// front end Cluster shares, plus WAL recovery, health and barriers. It
+// is the daemon-side counterpart of Cluster.
 type Node struct {
-	cfg     NodeConfig
-	tr      *netx.Transport
-	specs   []pgrid.NodeSpec
-	peers   []*pgrid.Peer
-	engines []*physical.Engine
-	opt     *optimizer.Optimizer
-	stats   *cost.Stats
-	statsMu sync.RWMutex
-	seq     atomic.Uint64
-	dbs     []*wal.DB
-	// reg mirrors peer/transport/WAL counters under stable dotted
-	// names; tlog retains recent query traces for introspection.
-	reg  *trace.Registry
-	tlog *trace.TraceLog
-}
-
-// nodeReopt adapts hosted-plan re-optimization to the node's stats
-// lock, mirroring the cluster's lockedReopt.
-type nodeReopt struct{ n *Node }
-
-func (l nodeReopt) Rechoose(steps []physical.Step, tail physical.Tail, bindingCount int, peer *pgrid.Peer) []physical.Step {
-	l.n.statsMu.RLock()
-	defer l.n.statsMu.RUnlock()
-	return l.n.opt.Rechoose(steps, tail, bindingCount, peer)
+	front
+	cfg   NodeConfig
+	tr    *netx.Transport
+	specs []pgrid.NodeSpec
+	seq   atomic.Uint64
+	dbs   []*wal.DB
 }
 
 // NewNode plans the cluster-wide overlay, instantiates this process's
@@ -178,19 +156,10 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			dbs = append(dbs, db)
 		}
 	}
-	stats := cost.DefaultStats(cfg.Partitions)
-	stats.Replicas = cfg.Replicas
-	stats.TotalTriples = 0
-	stats.PageSize = cfg.PageSize
-	n := &Node{cfg: cfg, tr: tr, specs: specs, peers: peers, stats: stats, dbs: dbs}
+	n := &Node{cfg: cfg, tr: tr, specs: specs, dbs: dbs}
+	n.slowQuery, n.logf = cfg.SlowQuery, cfg.Logf
+	n.init(peers, cfg.Partitions, cfg.Replicas, 0, cfg.PageSize, optimizer.DefaultOptions())
 	n.recoverSeq()
-	n.opt = optimizer.New(stats, optimizer.DefaultOptions())
-	for _, p := range peers {
-		n.engines = append(n.engines, physical.NewEngine(p, nodeReopt{n}))
-	}
-	n.reg = trace.NewRegistry()
-	n.tlog = trace.NewTraceLog(0)
-	registerPeerMetrics(n.reg, func() []*pgrid.Peer { return n.peers })
 	n.reg.OnCollect(func(r *trace.Registry) {
 		st := n.tr.Stats()
 		setCounter(r, "net.frames_out", st.FramesOut)
@@ -265,9 +234,6 @@ func (n *Node) Rejoin() {
 // processes pass as a seed.
 func (n *Node) Addr() string { return n.tr.Addr() }
 
-// Peers returns the locally hosted overlay peers.
-func (n *Node) Peers() []*pgrid.Peer { return n.peers }
-
 // Transport exposes the underlying netx transport.
 func (n *Node) Transport() *netx.Transport { return n.tr }
 
@@ -296,62 +262,9 @@ func (n *Node) Insert(tr triple.Triple, timeout time.Duration) error {
 	if res := h.Wait(timeout); !res.Complete {
 		return fmt.Errorf("core: insert %s/%s not acked within %v", tr.OID, tr.Attr, timeout)
 	}
-	n.statsMu.Lock()
-	n.stats.TriplesPerAttr[tr.Attr]++
-	n.stats.TotalTriples++
-	n.statsMu.Unlock()
+	n.noteInserted(tr)
 	return nil
 }
-
-// Query parses and executes VQL from a local peer. Traced queries
-// land in the node's trace log, and — past the SlowQuery threshold —
-// in the slow-query log with the optimizer's estimate alongside what
-// the query actually cost.
-func (n *Node) Query(src string) (*Result, error) {
-	q, err := vql.ParseQuery(src)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := physical.CompileQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	n.statsMu.RLock()
-	n.opt.Optimize(plan)
-	est := n.opt.EstimatePlan(plan)
-	n.statsMu.RUnlock()
-	eng := n.engines[0]
-	start := time.Now()
-	bs, ex := eng.RunPlanCtx(context.Background(), plan)
-	wall := time.Since(start)
-	res := &Result{
-		Bindings:    bs,
-		Vars:        resultVars(q),
-		Elapsed:     ex.Elapsed(),
-		TimeToFirst: ex.TimeToFirst(),
-		Hops:        ex.MaxHops(),
-		Plan:        plan.String(),
-		Trace:       ex.Trace(),
-	}
-	if res.Trace != nil {
-		msgs, bytes := res.Trace.Totals()
-		res.Messages = msgs
-		n.tlog.Add(res.Trace)
-		if n.cfg.SlowQuery > 0 && wall >= n.cfg.SlowQuery && n.cfg.Logf != nil {
-			n.cfg.Logf("slow query (%v wall, %v simulated): estimate %.0f msgs / %v latency, observed %d msgs / %d bytes\nplan: %s\n%s",
-				wall, res.Elapsed, est.Messages, est.Latency, msgs, bytes, res.Plan, res.Trace.String())
-		}
-	}
-	return res, nil
-}
-
-// Registry returns the node's unified metrics registry (peer overlay
-// counters, transport counters, WAL counters — collected at snapshot).
-func (n *Node) Registry() *trace.Registry { return n.reg }
-
-// TraceLog returns the bounded buffer of recently completed query
-// traces (always non-nil; empty unless NodeConfig.Tracing).
-func (n *Node) TraceLog() *trace.TraceLog { return n.tlog }
 
 // NodeHealth is the liveness summary served by /healthz.
 type NodeHealth struct {

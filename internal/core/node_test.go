@@ -1,11 +1,16 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"unistore/internal/cost"
+	"unistore/internal/triple"
 	"unistore/internal/workload"
 )
 
@@ -86,18 +91,91 @@ func TestNodeMatchesSimnetCluster(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reference: %v", q, err)
 		}
-		// Query from every process: answers must agree regardless of
-		// which side of the TCP split originates the plan.
+		// Query from every process, through every entry point of the
+		// shared front end: answers must agree regardless of which side
+		// of the TCP split originates the plan.
 		for ni, n := range nodes {
-			got, err := n.Query(q)
-			if err != nil {
-				t.Fatalf("%s: node %d: %v", q, ni, err)
+			for _, entry := range []struct {
+				name string
+				run  func(string) (*Result, error)
+			}{
+				{"Query", n.Query},
+				{"QueryStream", func(src string) (*Result, error) { return drainStream(n, src) }},
+				{"QueryWithMappings", n.QueryWithMappings},
+			} {
+				got, err := entry.run(q)
+				if err != nil {
+					t.Fatalf("%s: node %d %s: %v", q, ni, entry.name, err)
+				}
+				w, g := sortedRows(want), sortedRows(got)
+				if strings.Join(w, "\n") != strings.Join(g, "\n") {
+					t.Errorf("%s: node %d %s diverged\nsimnet (%d rows):\n%s\nnode (%d rows):\n%s",
+						q, ni, entry.name, len(w), strings.Join(w, "\n"), len(g), strings.Join(g, "\n"))
+				}
 			}
-			w, g := sortedRows(want), sortedRows(got)
-			if strings.Join(w, "\n") != strings.Join(g, "\n") {
-				t.Errorf("%s: node %d diverged\nsimnet (%d rows):\n%s\nnode (%d rows):\n%s",
-					q, ni, len(w), strings.Join(w, "\n"), len(g), strings.Join(g, "\n"))
+		}
+	}
+}
+
+// drainStream runs src through Node.QueryStream and collects every row.
+func drainStream(n *Node, src string) (*Result, error) {
+	st, err := n.QueryStream(context.Background(), src)
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	res := &Result{Vars: st.Vars}
+	for b, ok := st.Next(); ok; b, ok = st.Next() {
+		res.Bindings = append(res.Bindings, b)
+	}
+	return res, nil
+}
+
+// TestNodePricesWithObservedStats: a Node's optimizer prices plans with
+// the same statistics a Cluster of the same topology does — its read
+// spread covers the whole replica group, and warm queries feed the
+// observed routing-cache hit rate back into compilation.
+func TestNodePricesWithObservedStats(t *testing.T) {
+	const procs, parts, replicas = 2, 4, 2
+	ds := workload.Generate(workload.Options{Seed: 42, Persons: 25})
+	ref := NewCluster(Config{Peers: parts, Replicas: replicas, Seed: 5, PageSize: 8})
+	ref.Insert(ds.Triples...)
+	nodes := startNodes(t, procs, parts, replicas)
+	for _, tr := range ds.Triples {
+		if err := nodes[0].Insert(tr, 30*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !nodes[0].Barrier(10 * time.Second) {
+		t.Fatal("barrier did not quiesce")
+	}
+	// Attribute-value point lookups probe the routing caches (the OIDs
+	// all share one partition, so OID lookups may never leave it).
+	var warm []string
+	for _, tr := range ds.Triples {
+		if tr.Attr == "email" && len(warm) < 8 {
+			warm = append(warm, fmt.Sprintf(`SELECT ?p WHERE {(?p,'email','%s')}`, tr.Val.Str))
+		}
+	}
+	for i := 0; i < 3; i++ {
+		for _, q := range warm {
+			if _, err := ref.QueryFrom(0, q); err != nil {
+				t.Fatal(err)
 			}
+			if _, err := nodes[0].Query(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Let the memoized rates expire so the next compile refreshes.
+		ref.Net().RunFor(2 * rateWindow)
+		time.Sleep(2 * rateWindow)
+	}
+	for name, st := range map[string]*cost.Stats{"cluster": ref.Stats(), "node": nodes[0].Stats()} {
+		if st.ReadReplicas != replicas {
+			t.Errorf("%s: ReadReplicas = %d, want %d", name, st.ReadReplicas, replicas)
+		}
+		if st.CacheHitRate <= 0 {
+			t.Errorf("%s: CacheHitRate = %v after warm queries, want > 0", name, st.CacheHitRate)
 		}
 	}
 }
@@ -140,4 +218,51 @@ func TestNodeSurvivesPeerProcessDeath(t *testing.T) {
 		t.Fatalf("post-death divergence\nwant (%d rows):\n%s\ngot (%d rows):\n%s",
 			len(w), strings.Join(w, "\n"), len(g), strings.Join(g, "\n"))
 	}
+}
+
+// TestNodeConcurrentQueries drives the shared front end of a Node from
+// several goroutines at once — queries compiling (and refreshing the
+// observed rates) while an insert updates the statistics — and checks
+// every answer against the simnet reference.
+func TestNodeConcurrentQueries(t *testing.T) {
+	const procs, parts, replicas = 2, 4, 2
+	ds := workload.Generate(workload.Options{Seed: 42, Persons: 20})
+	ref := NewCluster(Config{Peers: parts, Replicas: replicas, Seed: 5})
+	ref.Insert(ds.Triples...)
+	nodes := startNodes(t, procs, parts, replicas)
+	for _, tr := range ds.Triples {
+		if err := nodes[0].Insert(tr, 30*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !nodes[0].Barrier(10 * time.Second) {
+		t.Fatal("barrier did not quiesce")
+	}
+	q := `SELECT ?n,?a WHERE {(?p,'name',?n) (?p,'age',?a) FILTER ?a < 30}`
+	want, err := ref.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				got, err := nodes[g%procs].Query(q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if w, gr := sortedRows(want), sortedRows(got); strings.Join(w, "\n") != strings.Join(gr, "\n") {
+					t.Errorf("goroutine %d: %d rows, want %d", g, len(gr), len(w))
+				}
+			}
+		}()
+	}
+	// An unrelated attribute, so the checked answer cannot change.
+	if err := nodes[1].Insert(triple.T("extra-1", "nickname", "x"), 30*time.Second); err != nil {
+		t.Error(err)
+	}
+	wg.Wait()
 }

@@ -173,7 +173,7 @@ func TestTraceCompleteUnderPeerKills(t *testing.T) {
 	// are in flight toward (visible as network backlog) — their branch
 	// shares are genuinely lost, forcing hedged pulls and re-showers.
 	// At most one replica per partition dies and never the origin.
-	ex := c.engines[0].Start(plan, nil)
+	ex := c.engines[0].Start(plan)
 	byPath := map[string]bool{c.peers[0].Path().String(): true}
 	killed := 0
 	kill := func(i int) {

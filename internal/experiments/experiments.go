@@ -21,7 +21,6 @@ import (
 	"unistore/internal/pgrid"
 	"unistore/internal/physical"
 	"unistore/internal/simnet"
-	"unistore/internal/trace"
 	"unistore/internal/triple"
 	"unistore/internal/vql"
 	"unistore/internal/workload"
@@ -42,8 +41,8 @@ func (s Scale) n(base int) int {
 // E1TriplePlacement reproduces Fig. 2: two 3-attribute tuples yield 18
 // index entries, spread over the 8-peer trie, with the origin tuples
 // reproducible by a single OID lookup from any peer.
-func E1TriplePlacement() *trace.Series {
-	t := trace.NewSeries("E1 (Fig. 2): triple placement on 8 peers",
+func E1TriplePlacement() *Series {
+	t := NewSeries("E1 (Fig. 2): triple placement on 8 peers",
 		"peer path", "entries", "OID", "A#v", "v")
 	c := core.NewCluster(core.Config{Peers: 8, Seed: 1})
 	t1 := triple.NewTuple("a12").
@@ -77,8 +76,8 @@ func E1TriplePlacement() *trace.Series {
 
 // E2RoutingHops reproduces the "logarithmic search complexity" claim:
 // average lookup hops vs. network size tracks log2(n).
-func E2RoutingHops(scale Scale) *trace.Series {
-	t := trace.NewSeries("E2: routing hops vs. network size (claim: ~log2 n)",
+func E2RoutingHops(scale Scale) *Series {
+	t := NewSeries("E2: routing hops vs. network size (claim: ~log2 n)",
 		"peers", "avg hops", "max hops", "log2(n)")
 	for _, n := range []int{16, 64, 256, scale.n(1024)} {
 		net := simnet.New(simnet.Config{Latency: simnet.ConstantLatency(time.Millisecond), Seed: 2})
@@ -103,8 +102,8 @@ func E2RoutingHops(scale Scale) *trace.Series {
 // E3QueryLatency reproduces the scalability demonstration: "even with
 // up to 400 PlanetLab nodes query answer times are still only a couple
 // of seconds" — a multi-pattern VQL join under PlanetLab-like delays.
-func E3QueryLatency(scale Scale) *trace.Series {
-	t := trace.NewSeries("E3: query latency vs. network size, PlanetLab delays (claim: couple of seconds at 400)",
+func E3QueryLatency(scale Scale) *Series {
+	t := NewSeries("E3: query latency vs. network size, PlanetLab delays (claim: couple of seconds at 400)",
 		"peers", "latency", "messages", "results")
 	for _, n := range []int{50, 100, 200, scale.n(400)} {
 		c := core.NewCluster(core.Config{Peers: n, Seed: 3, Latency: core.LatencyPlanetLab})
@@ -122,8 +121,8 @@ func E3QueryLatency(scale Scale) *trace.Series {
 // E4PlanVariants reproduces the demo's optimizer toggling: "execute
 // identical queries sequentially while influencing the integrated
 // optimizer ... different performance results".
-func E4PlanVariants(scale Scale) *trace.Series {
-	t := trace.NewSeries("E4: identical query under forced plan variants",
+func E4PlanVariants(scale Scale) *Series {
+	t := NewSeries("E4: identical query under forced plan variants",
 		"variant", "messages", "latency", "results")
 	n := scale.n(64)
 	query := `SELECT ?n WHERE {(?p,'email','p7@example.org') (?p,'name',?n)}`
@@ -153,8 +152,8 @@ func E4PlanVariants(scale Scale) *trace.Series {
 // E5Similarity reproduces the q-gram index result of companion paper
 // [6]: messages for edist selections via the distributed q-gram index
 // vs. the naive broadcast scan, as data grows.
-func E5Similarity(scale Scale) *trace.Series {
-	t := trace.NewSeries("E5: similarity selection — q-gram index vs. broadcast",
+func E5Similarity(scale Scale) *Series {
+	t := NewSeries("E5: similarity selection — q-gram index vs. broadcast",
 		"conferences", "qgram msgs", "bcast msgs", "qgram results", "bcast results")
 	// The crossover depends on the network size: broadcast costs ~2n
 	// messages, the q-gram path ~|grams|·log2(n); the index wins from a
@@ -197,8 +196,8 @@ func E5Similarity(scale Scale) *trace.Series {
 // E6LoadBalance reproduces P-Grid's skew handling claim ([2]): storage
 // load distribution under Zipf-skewed values, peer-balanced trie vs.
 // data-adaptive trie.
-func E6LoadBalance(scale Scale) *trace.Series {
-	t := trace.NewSeries("E6: storage load under Zipf skew (claim: balancing handles arbitrary skews)",
+func E6LoadBalance(scale Scale) *Series {
+	t := NewSeries("E6: storage load under Zipf skew (claim: balancing handles arbitrary skews)",
 		"trie", "max load", "avg load", "max/avg", "gini")
 	// The peer count stays fixed: a binary trie must spend one peer per
 	// level of shared key prefix before it can split inside the hot
@@ -259,8 +258,8 @@ func gini(loads []int) float64 {
 
 // E7Skyline reproduces the ranking-operator claims: the paper's skyline
 // query vs. data size, and top-N vs. full sort.
-func E7Skyline(scale Scale) *trace.Series {
-	t := trace.NewSeries("E7: skyline and top-N operators",
+func E7Skyline(scale Scale) *Series {
+	t := NewSeries("E7: skyline and top-N operators",
 		"persons", "skyline size", "sky msgs", "sky latency", "top10 msgs", "orderby msgs")
 	n := scale.n(64)
 	for _, persons := range []int{100, scale.n(400)} {
@@ -289,8 +288,8 @@ func E7Skyline(scale Scale) *trace.Series {
 // E8Updates reproduces the loosely consistent update claim ([4]):
 // update visibility across replicas under loss, and repair of a
 // returning replica by anti-entropy.
-func E8Updates(scale Scale) *trace.Series {
-	t := trace.NewSeries("E8: update propagation to replicas (claim: loose consistency, convergence)",
+func E8Updates(scale Scale) *Series {
+	t := NewSeries("E8: update propagation to replicas (claim: loose consistency, convergence)",
 		"loss", "replicas fresh after write", "fresh after anti-entropy", "stale repaired")
 	n := scale.n(16)
 	for _, loss := range []float64{0, 0.1, 0.3} {
@@ -326,8 +325,8 @@ func E8Updates(scale Scale) *trace.Series {
 
 // E9RangeVsChord reproduces the §2 contrast: P-Grid answers range
 // queries natively, a uniform-hashing DHT must visit every node.
-func E9RangeVsChord(scale Scale) *trace.Series {
-	t := trace.NewSeries("E9: range query messages — P-Grid vs. Chord baseline",
+func E9RangeVsChord(scale Scale) *Series {
+	t := NewSeries("E9: range query messages — P-Grid vs. Chord baseline",
 		"peers", "selectivity", "pgrid msgs", "chord msgs", "pgrid results", "chord results")
 	for _, n := range []int{32, scale.n(256)} {
 		for _, width := range []int{5, 20} {
@@ -362,8 +361,8 @@ func E9RangeVsChord(scale Scale) *trace.Series {
 // E10Mappings reproduces the schema-mapping claim: queries retrieve
 // data under foreign schemas once correspondence triples are applied —
 // "even automatically by the system".
-func E10Mappings(scale Scale) *trace.Series {
-	t := trace.NewSeries("E10: recall across heterogeneous schemas via mapping triples",
+func E10Mappings(scale Scale) *Series {
+	t := NewSeries("E10: recall across heterogeneous schemas via mapping triples",
 		"mode", "results", "messages")
 	n := scale.n(32)
 	persons := scale.n(40)
@@ -392,8 +391,8 @@ func E10Mappings(scale Scale) *trace.Series {
 // E11Merge reproduces the overlay-merge claim: two independent
 // overlays interconnect in parallel; data of both becomes reachable
 // from every peer.
-func E11Merge(scale Scale) *trace.Series {
-	t := trace.NewSeries("E11: merging two independent overlays (claim: parallel merge)",
+func E11Merge(scale Scale) *Series {
+	t := NewSeries("E11: merging two independent overlays (claim: parallel merge)",
 		"sizes", "merge msgs", "reachability A-data", "reachability B-data")
 	n := scale.n(16)
 	net := simnet.New(simnet.Config{Latency: simnet.ConstantLatency(time.Millisecond), Seed: 16})
@@ -423,8 +422,8 @@ func E11Merge(scale Scale) *trace.Series {
 // E12PaperQuery runs the paper's complete §2 example end to end: the
 // 8-pattern join with an edit-distance filter and a two-dimensional
 // skyline.
-func E12PaperQuery(scale Scale) *trace.Series {
-	t := trace.NewSeries("E12: the paper's example query end-to-end",
+func E12PaperQuery(scale Scale) *Series {
+	t := NewSeries("E12: the paper's example query end-to-end",
 		"peers", "results", "messages", "latency", "skyline valid")
 	n := scale.n(64)
 	c := core.NewCluster(core.Config{Peers: n, Seed: 17, EnableQGram: true, Latency: core.LatencyWAN})
@@ -454,8 +453,8 @@ func E12PaperQuery(scale Scale) *trace.Series {
 }
 
 // All runs every experiment at the given scale, in order.
-func All(scale Scale) []*trace.Series {
-	return []*trace.Series{
+func All(scale Scale) []*Series {
+	return []*Series{
 		E1TriplePlacement(),
 		E2RoutingHops(scale),
 		E3QueryLatency(scale),

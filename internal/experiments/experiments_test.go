@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // The experiments are validated at reduced scale: each must run, and
@@ -167,5 +168,20 @@ func TestE12PaperQueryValid(t *testing.T) {
 	n, _ := strconv.Atoi(row[1])
 	if n <= 0 {
 		t.Errorf("paper query returned no results: %v", row)
+	}
+}
+
+func TestSeriesRendering(t *testing.T) {
+	s := NewSeries("E2: routing hops", "peers", "avg hops", "latency")
+	s.Add(64, 3.17, 250*time.Millisecond)
+	s.Add(1024, 5.02, 410*time.Millisecond)
+	out := s.String()
+	for _, frag := range []string{"E2: routing hops", "peers", "avg hops", "3.17", "1024", "250ms"} {
+		if !strings.Contains(out, frag) {
+			t.Errorf("table missing %q:\n%s", frag, out)
+		}
+	}
+	if len(s.Rows()) != 2 {
+		t.Errorf("rows = %d", len(s.Rows()))
 	}
 }

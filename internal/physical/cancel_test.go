@@ -94,7 +94,7 @@ func TestCancelPropagatesToMigratedHost(t *testing.T) {
 	tn.load(corpus)
 	throttle(tn)
 	tn.net.ResetStats()
-	cx := tn.engines[0].Start(shipPlan(t), nil)
+	cx := tn.engines[0].Start(shipPlan(t))
 	for !cx.Migrated() && tn.net.Step() {
 	}
 	if !cx.Migrated() {
@@ -126,7 +126,7 @@ func TestCancelBeforePlanArrives(t *testing.T) {
 	corpus := cancelCorpus()
 	tn := buildNet(t, 32, 212, nil)
 	tn.load(corpus)
-	cx := tn.engines[0].Start(shipPlan(t), nil)
+	cx := tn.engines[0].Start(shipPlan(t))
 	for !cx.Migrated() && tn.net.Step() {
 	}
 	if !cx.Migrated() {

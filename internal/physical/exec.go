@@ -446,7 +446,6 @@ type Exec struct {
 	first    time.Duration
 	done     bool
 	result   []algebra.Binding
-	onDone   func(*Exec)
 	doneCh   chan struct{}
 	cursor   *Cursor
 
@@ -466,18 +465,11 @@ type Exec struct {
 }
 
 // Start begins executing a compiled plan at the engine's peer,
-// returning the Exec handle. The callback (optional) fires on
-// completion; Wait drives the network (deterministic mode) or blocks
-// until the responses land (concurrent mode).
-func (e *Engine) Start(p *Plan, onDone func(*Exec)) *Exec {
-	return e.StartCtx(context.Background(), p, onDone)
-}
-
-// StartCtx is Start with a cancellation context: canceling ctx stops
-// the pipeline, cancels the query's pending overlay operations and
-// completes the Exec with whatever rows had been produced.
-func (e *Engine) StartCtx(ctx context.Context, p *Plan, onDone func(*Exec)) *Exec {
-	ex := e.newExec(ctx, p, onDone)
+// returning the Exec handle. Wait drives the network (deterministic
+// mode) or blocks until the responses land (concurrent mode); Cancel
+// stops it early. Open is the cancellable, streaming alternative.
+func (e *Engine) Start(p *Plan) *Exec {
+	ex := e.newExec(context.Background(), p)
 	ex.pmu.Lock()
 	ex.startPipeline()
 	ex.pmu.Unlock()
@@ -489,7 +481,7 @@ func (e *Engine) StartCtx(ctx context.Context, p *Plan, onDone func(*Exec)) *Exe
 // contract; the cursor's Next and Close complete it. Rows become
 // available as the pipeline emits them, before the query finishes.
 func (e *Engine) Open(ctx context.Context, p *Plan) *Cursor {
-	ex := e.newExec(ctx, p, nil)
+	ex := e.newExec(ctx, p)
 	cur := newCursor(ex)
 	ex.cursor = cur
 	ex.pmu.Lock()
@@ -498,7 +490,7 @@ func (e *Engine) Open(ctx context.Context, p *Plan) *Cursor {
 	return cur
 }
 
-func (e *Engine) newExec(ctx context.Context, p *Plan, onDone func(*Exec)) *Exec {
+func (e *Engine) newExec(ctx context.Context, p *Plan) *Exec {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -508,7 +500,6 @@ func (e *Engine) newExec(ctx context.Context, p *Plan, onDone func(*Exec)) *Exec
 		tail:   p.Tail,
 		origin: e.peer.ID(),
 		ctx:    ctx,
-		onDone: onDone,
 		doneCh: make(chan struct{}),
 	}
 	e.mu.Lock()
@@ -529,27 +520,9 @@ func (e *Engine) newExec(ctx context.Context, p *Plan, onDone func(*Exec)) *Exec
 	return ex
 }
 
-// Run compiles and executes a parsed query end to end, driving the
-// simulated network until completion; the synchronous entry point.
-func (e *Engine) Run(q *vql.Query) ([]algebra.Binding, *Exec, error) {
-	plan, err := CompileQuery(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	ex := e.Start(plan, nil)
-	ex.Wait()
-	return ex.Result(), ex, nil
-}
-
-// RunPlan executes an already-compiled plan synchronously.
+// RunPlan executes a compiled plan synchronously: Start, then Wait.
 func (e *Engine) RunPlan(p *Plan) ([]algebra.Binding, *Exec) {
-	return e.RunPlanCtx(context.Background(), p)
-}
-
-// RunPlanCtx executes a compiled plan synchronously under a
-// cancellation context.
-func (e *Engine) RunPlanCtx(ctx context.Context, p *Plan) ([]algebra.Binding, *Exec) {
-	ex := e.StartCtx(ctx, p, nil)
+	ex := e.Start(p)
 	ex.Wait()
 	return ex.Result(), ex
 }
@@ -939,7 +912,6 @@ func (ex *Exec) finishWith(bs []algebra.Binding) {
 	ex.finished = ex.eng.peer.Net().Now()
 	ex.done = true
 	close(ex.doneCh)
-	onDone := ex.onDone
 	cur := ex.cursor
 	ex.mu.Unlock()
 	ex.eng.mu.Lock()
@@ -947,9 +919,6 @@ func (ex *Exec) finishWith(bs []algebra.Binding) {
 	ex.eng.mu.Unlock()
 	if cur != nil {
 		cur.finish(bs)
-	}
-	if onDone != nil {
-		onDone(ex)
 	}
 }
 

@@ -137,11 +137,11 @@ func distributedRun(t testing.TB, tn *testNet, engineIdx int, src string) ([]alg
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	bs, ex, err := tn.engines[engineIdx].Run(q)
+	plan, err := CompileQuery(q)
 	if err != nil {
-		t.Fatalf("run: %v", err)
+		t.Fatalf("compile: %v", err)
 	}
-	return bs, ex
+	return tn.engines[engineIdx].RunPlan(plan)
 }
 
 // checkAgainstReference asserts the distributed engine matches the

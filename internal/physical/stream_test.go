@@ -164,7 +164,12 @@ func TestContextCancelStopsQuery(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // canceled before the first response can arrive
-	bs, ex := tn.engines[0].RunPlanCtx(ctx, plan)
+	cur := tn.engines[0].Open(ctx, plan)
+	var bs []map[string]triple.Value
+	for b, ok := cur.Next(); ok; b, ok = cur.Next() {
+		bs = append(bs, b)
+	}
+	ex := cur.Exec()
 	if !ex.Done() {
 		t.Fatal("canceled query must complete")
 	}

@@ -3,142 +3,15 @@
 // limits) repeatable" — transport-independent, so the same machinery
 // measures the deterministic simulator and the real TCP cluster.
 //
-// Three pieces:
+// Two pieces:
 //
 //   - Distributed query tracing (span.go): a Ctx rides every overlay
 //     request that carries a query id, each serving peer records a
 //     Span, and a compact WireSpan piggybacks home on the response so
-//     the coordinator assembles a full QueryTrace tree. No extra
-//     messages are ever sent for tracing.
+//     the coordinator assembles a full QueryTrace tree (a bounded
+//     TraceLog keeps the recent ones). No extra messages are ever sent
+//     for tracing.
 //   - A unified metrics Registry (registry.go): lock-cheap atomic
 //     counters, gauges and fixed-bucket histograms under stable dotted
 //     names, snapshotable and renderable as Prometheus text.
-//   - Harness helpers (this file): Capture diffs the simulator's
-//     cumulative counters around a closure, and Series renders
-//     experiment tables.
 package trace
-
-import (
-	"fmt"
-	"sort"
-	"strings"
-	"time"
-
-	"unistore/internal/simnet"
-)
-
-// NetDelta is the network-level cost of one operation window: the
-// difference of the simulator's cumulative counters across it.
-type NetDelta struct {
-	Label    string
-	Elapsed  time.Duration // simulated time
-	Messages int
-	Bytes    int
-	Dropped  int
-	PerKind  map[string]int
-}
-
-// Capture measures fn as a before/after delta of the network's
-// cumulative counters. Unlike the old reset-run-diff pattern it never
-// resets shared state, so concurrent traffic outside the window can
-// inflate the delta but can no longer corrupt other observers — and
-// two Captures may nest or overlap safely.
-func Capture(net *simnet.Network, label string, fn func()) NetDelta {
-	before := net.Stats()
-	start := net.Now()
-	fn()
-	after := net.Stats()
-	perKind := make(map[string]int)
-	for k, v := range after.PerKind {
-		if d := v - before.PerKind[k]; d != 0 {
-			perKind[k] = d
-		}
-	}
-	return NetDelta{
-		Label:    label,
-		Elapsed:  net.Now() - start,
-		Messages: after.MessagesSent - before.MessagesSent,
-		Bytes:    after.BytesSent - before.BytesSent,
-		Dropped:  after.MessagesDropped - before.MessagesDropped,
-		PerKind:  perKind,
-	}
-}
-
-// String renders the delta as a log line.
-func (s NetDelta) String() string {
-	var kinds []string
-	for k, v := range s.PerKind {
-		kinds = append(kinds, fmt.Sprintf("%s=%d", k, v))
-	}
-	sort.Strings(kinds)
-	return fmt.Sprintf("%s: msgs=%d bytes=%d dropped=%d t=%v [%s]",
-		s.Label, s.Messages, s.Bytes, s.Dropped, s.Elapsed, strings.Join(kinds, " "))
-}
-
-// Series accumulates rows for one experiment and renders them as an
-// aligned table — the harness's table-row printer.
-type Series struct {
-	Name    string
-	Columns []string
-	rows    [][]string
-}
-
-// NewSeries starts a table with the given column headers.
-func NewSeries(name string, columns ...string) *Series {
-	return &Series{Name: name, Columns: columns}
-}
-
-// Add appends a row (values are formatted with %v).
-func (t *Series) Add(values ...any) {
-	row := make([]string, len(values))
-	for i, v := range values {
-		switch x := v.(type) {
-		case float64:
-			row[i] = fmt.Sprintf("%.2f", x)
-		case time.Duration:
-			row[i] = x.Round(time.Millisecond).String()
-		default:
-			row[i] = fmt.Sprintf("%v", v)
-		}
-	}
-	t.rows = append(t.rows, row)
-}
-
-// Rows returns the accumulated rows.
-func (t *Series) Rows() [][]string { return t.rows }
-
-// String renders the table with aligned columns.
-func (t *Series) String() string {
-	widths := make([]int, len(t.Columns))
-	for i, c := range t.Columns {
-		widths[i] = len(c)
-	}
-	for _, r := range t.rows {
-		for i, cell := range r {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "== %s ==\n", t.Name)
-	for i, c := range t.Columns {
-		fmt.Fprintf(&sb, "%-*s  ", widths[i], c)
-	}
-	sb.WriteString("\n")
-	for i := range t.Columns {
-		sb.WriteString(strings.Repeat("-", widths[i]) + "  ")
-	}
-	sb.WriteString("\n")
-	for _, r := range t.rows {
-		for i, cell := range r {
-			w := 0
-			if i < len(widths) {
-				w = widths[i]
-			}
-			fmt.Fprintf(&sb, "%-*s  ", w, cell)
-		}
-		sb.WriteString("\n")
-	}
-	return sb.String()
-}

@@ -58,7 +58,7 @@
 //		fmt.Println(row["n"])
 //	}
 //
-// Queries accept a context (QueryCtx / QueryFromCtx / QueryStream):
+// Streaming queries accept a context (QueryStream / QueryStreamFrom):
 // canceling it stops the pipeline and releases its pending overlay
 // operations instead of letting them run to waste — including plans
 // that migrated to other peers, which are chased down and stopped.
